@@ -27,12 +27,9 @@ from .numerics import (
     central_diff,
     integrate_1d,
     integrate_nd,
-    richardson_extrapolate,
     tail_bounded_power_sum,
 )
 from .regularization import (
-    RegScheme,
-    RegularizedValue,
     SchemeComparison,
     SchemeKind,
     abel_plana_regularized_power_sum,
@@ -43,9 +40,6 @@ from .regularization import (
 )
 from .units import UnitKind, UnitSystem
 from .weakfield import (
-    Gauge,
-    GaugeField,
-    MetricPerturbation,
     PlateApparatus,
     WeakField,
     apparatus_to_lab,
@@ -58,7 +52,6 @@ from .weakfield import (
     h_fermi,
     h_isotropic,
     isotropic_force_per_area,
-    perturbation,
 )
 
 __version__ = "0.1.0"

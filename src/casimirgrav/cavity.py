@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -18,10 +17,10 @@ from .errors import GeometryError, LightConeError
 
 __all__ = [
     "CavityConfig",
-    "Frame",
     "StressTensor",
     "SpacetimePoint",
     "METRIC_DIAGONAL",
+    "check_geometry",
     "energy_density",
     "energy_per_area",
     "pressure",
@@ -32,6 +31,22 @@ __all__ = [
 METRIC_DIAGONAL = (-1.0, 1.0, 1.0, 1.0)
 
 
+def check_geometry(L: float, polarizations: int = 1, a: float | None = None) -> None:
+    """Raise :class:`GeometryError` unless the plate geometry is physical.
+
+    The one validator of plate geometry in the package: the separation
+    ``L`` and, for an apparatus, the plate side ``a`` must satisfy
+    0 < x < inf (NaN fails too), and ``polarizations`` must be 1 (scalar)
+    or 2 (EM).
+    """
+    if a is not None and not 0.0 < a < math.inf:
+        raise GeometryError(f"plate side must be positive and finite, got {a}")
+    if not 0.0 < L < math.inf:
+        raise GeometryError(f"plate separation must be positive and finite, got {L}")
+    if polarizations not in (1, 2):
+        raise GeometryError(f"polarizations must be 1 (scalar) or 2 (EM), got {polarizations}")
+
+
 @dataclass(frozen=True)
 class CavityConfig:
     """Plate separation and polarization count (1 scalar, 2 electromagnetic)."""
@@ -40,24 +55,14 @@ class CavityConfig:
     polarizations: int = 2
 
     def __post_init__(self) -> None:
-        if self.L <= 0:
-            raise GeometryError(f"plate separation must be positive, got {self.L}")
-        if self.polarizations not in (1, 2):
-            raise GeometryError(
-                f"polarizations must be 1 (scalar) or 2 (EM), got {self.polarizations}"
-            )
-
-
-class Frame(Enum):
-    CAVITY = "cavity"
+        check_geometry(self.L, self.polarizations)
 
 
 @dataclass(frozen=True)
 class StressTensor:
-    """Diagonal vacuum stress tensor <T^{mu nu}> of the cavity, frame-fixed."""
+    """Diagonal vacuum stress tensor <T^{mu nu}> in the cavity rest frame."""
 
     components: np.ndarray
-    frame: Frame = Frame.CAVITY
 
     def __post_init__(self) -> None:
         c = np.asarray(self.components, dtype=float)
@@ -83,8 +88,7 @@ class SpacetimePoint:
 
 def energy_density(L: float) -> float:
     """Renormalized vacuum energy density -pi^2/(1440 L^4), one polarization."""
-    if L <= 0:
-        raise GeometryError(f"plate separation must be positive, got {L}")
+    check_geometry(L)
     return -(math.pi ** 2) / (1440.0 * L ** 4)
 
 

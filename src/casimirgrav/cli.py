@@ -30,7 +30,7 @@ from .errors import (
 )
 from .figures import FigureSpec, figure_series, write_csv, write_json
 from .numerics import QuadratureSpec
-from .regularization import DEFAULT_IMAGE_TERMS, SchemeKind, compare_schemes, riemann_zeta
+from .regularization import DEFAULT_IMAGE_TERMS, compare_schemes, riemann_zeta
 from .units import UnitKind, UnitSystem
 from .weakfield import (
     PlateApparatus,
@@ -169,13 +169,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_regularize(args: argparse.Namespace) -> int:
-    n_terms = DEFAULT_IMAGE_TERMS
-    quad = QuadratureSpec()
-    if args.scheme == SchemeKind.IMAGE_SUM.value and args.n_terms is not None:
-        n_terms = args.n_terms
-    if args.scheme == SchemeKind.ABEL_PLANA.value and args.tolerance is not None:
-        quad = QuadratureSpec(relative_tolerance=args.tolerance)
-    report = compare_schemes(args.L, n_terms=n_terms, quad=quad)
+    report = compare_schemes(args.L, n_terms=args.n_terms, quad=QuadratureSpec(args.tolerance))
     print(f"scalar energy per area at L = {_fmt(args.L)} (natural units):")
     for kind, result in report.energy_per_area.items():
         print(f"  {kind.value:<12} value = {_fmt(result.value)}   "
@@ -239,13 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regularize", help="compare the three regularization schemes")
     p.add_argument("--L", type=float, required=True, help="plate separation")
-    p.add_argument("--scheme", choices=[k.value for k in SchemeKind],
-                   default=SchemeKind.IMAGE_SUM.value,
-                   help="scheme the n-terms/tolerance override applies to")
-    p.add_argument("--n-terms", dest="n_terms", type=int, default=None,
-                   help="image-sum term count override")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="abel-plana quadrature tolerance override")
+    p.add_argument("--n-terms", dest="n_terms", type=int, default=DEFAULT_IMAGE_TERMS,
+                   help="image-sum term count")
+    p.add_argument("--tolerance", type=float, default=1e-9,
+                   help="abel-plana quadrature relative tolerance")
     p.set_defaults(func=_cmd_regularize)
 
     p = sub.add_parser("zeta", help="Riemann zeta for real s > 1")

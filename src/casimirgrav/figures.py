@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cavity import CavityConfig, energy_density, energy_per_area, pressure
+from .cavity import CavityConfig, check_geometry, energy_density, energy_per_area, pressure
 from .errors import DomainError
 from .weakfield import WeakField, delta_force_per_area, fermi_force_per_area
 
@@ -50,8 +50,8 @@ class FigureSpec:
             raise DomainError("sweep ranges require min < max")
         if self.points < 2:
             raise DomainError("sweeps need at least 2 points")
-        if not all(L > 0 for L in (self.L_min,) + self.L_list):
-            raise DomainError("separations must be positive")
+        for L in (self.L_min,) + self.L_list:
+            check_geometry(L)
         if not all(A > 0 for A in (self.A_min,) + self.A_list):
             raise DomainError("areas must be positive")
 

@@ -15,22 +15,20 @@ of two is applied exclusively in :mod:`casimirgrav.cavity`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, GeometryError
-from .numerics import Interval, QuadratureSpec, integrate_1d, tail_bounded_power_sum
+from .cavity import check_geometry
+from .errors import DomainError
+from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_1d, tail_bounded_power_sum
 
 __all__ = [
     "SchemeKind",
-    "RegScheme",
-    "RegularizedValue",
     "SchemeComparison",
     "riemann_zeta",
     "energy_density_image_sum",
     "abel_plana_regularized_power_sum",
     "energy_per_area_abel_plana",
-    "evaluate_scheme",
     "compare_schemes",
 ]
 
@@ -48,35 +46,6 @@ class SchemeKind(Enum):
     IMAGE_SUM = "image-sum"
     ABEL_PLANA = "abel-plana"
     ZETA_CLOSED_FORM = "zeta"
-
-
-@dataclass(frozen=True)
-class RegScheme:
-    """Which regulator to use and its knobs.
-
-    ``n_terms`` applies to the image sum only; ``quad`` to Abel-Plana only.
-    """
-
-    kind: SchemeKind
-    n_terms: int = DEFAULT_IMAGE_TERMS
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-
-    def __post_init__(self) -> None:
-        if self.kind is SchemeKind.IMAGE_SUM and self.n_terms < 1:
-            raise DomainError("image sum requires n_terms >= 1")
-
-
-@dataclass(frozen=True)
-class RegularizedValue:
-    """A renormalized quantity (natural units) with a rigorous error bound.
-
-    The bound is the analytic tail bound for the image sum, the quadrature
-    estimate for Abel-Plana, and zero for the closed form.
-    """
-
-    value: float
-    error_bound: float
-    scheme: RegScheme
 
 
 def riemann_zeta(s: float) -> float:
@@ -97,23 +66,21 @@ def riemann_zeta(s: float) -> float:
     return total
 
 
-def energy_density_image_sum(L: float, n_terms: int = DEFAULT_IMAGE_TERMS) -> RegularizedValue:
+def energy_density_image_sum(L: float, n_terms: int = DEFAULT_IMAGE_TERMS) -> SeriesResult:
     """Casimir energy density from the image sum -(1/16 pi^2 L^4) sum 1/n^4.
 
     Converges to -pi^2/(1440 L^4); the bound 1/(3 N^3) on the omitted tail
     comes from the integral comparison test.
     """
-    if L <= 0:
-        raise GeometryError(f"plate separation must be positive, got {L}")
+    check_geometry(L)
     prefactor = 1.0 / (16.0 * math.pi ** 2 * L ** 4)
     partial = tail_bounded_power_sum(4.0, prefactor, n_terms)
-    scheme = RegScheme(SchemeKind.IMAGE_SUM, n_terms=n_terms)
-    return RegularizedValue(-partial.value, partial.error_bound, scheme)
+    return SeriesResult(-partial.value, partial.error_bound, partial.terms_used)
 
 
 def abel_plana_regularized_power_sum(
     p: int, quad: QuadratureSpec = QuadratureSpec()
-) -> RegularizedValue:
+) -> SeriesResult:
     """Abel-Plana value of the (divergent) sum over n^p, p a positive integer.
 
     Only the branch-cut integral survives dropping the divergent pieces:
@@ -122,13 +89,12 @@ def abel_plana_regularized_power_sum(
             = -2 sin(p pi/2) Gamma(p+1) zeta(p+1) / (2 pi)^{p+1}.
 
     Even p gives exactly zero; the sine is resolved from p mod 4 so no
-    floating-point cancellation enters.
+    floating-point cancellation enters; that exact zero counts as one term.
     """
     if p < 1:
         raise DomainError(f"exponent must be a positive integer, got {p}")
-    scheme = RegScheme(SchemeKind.ABEL_PLANA, quad=quad)
     if p % 2 == 0:
-        return RegularizedValue(0.0, 0.0, scheme)
+        return SeriesResult(0.0, 0.0, 1)
     sign = 1.0 if p % 4 == 1 else -1.0
 
     def branch_cut(t: float) -> float:
@@ -138,48 +104,48 @@ def abel_plana_regularized_power_sum(
         return t ** p / math.expm1(w)
 
     integral = integrate_1d(branch_cut, Interval(0.0, math.inf, decay_rate=2.0 * math.pi), quad)
-    return RegularizedValue(-2.0 * sign * integral.value, 2.0 * integral.error_bound, scheme)
+    return SeriesResult(
+        -2.0 * sign * integral.value, 2.0 * integral.error_bound, integral.terms_used
+    )
 
 
 def energy_per_area_abel_plana(
     L: float, quad: QuadratureSpec = QuadratureSpec()
-) -> RegularizedValue:
+) -> SeriesResult:
     """Scalar (one polarization) Casimir energy per unit area via Abel-Plana.
 
     The mode sum reduces to the p = 3 regularized power sum with prefactor
     -pi^2/(12 L^3), giving -pi^2/(1440 L^3).
     """
-    if L <= 0:
-        raise GeometryError(f"plate separation must be positive, got {L}")
+    check_geometry(L)
     mode_sum = abel_plana_regularized_power_sum(3, quad)
     prefactor = -(math.pi ** 2) / (12.0 * L ** 3)
-    return RegularizedValue(
-        prefactor * mode_sum.value, abs(prefactor) * mode_sum.error_bound, mode_sum.scheme
+    return SeriesResult(
+        prefactor * mode_sum.value, abs(prefactor) * mode_sum.error_bound, mode_sum.terms_used
     )
 
 
-def evaluate_scheme(scheme: RegScheme, L: float) -> RegularizedValue:
+def _scheme_energy_per_area(
+    kind: SchemeKind, L: float, n_terms: int, quad: QuadratureSpec
+) -> SeriesResult:
     """Scalar energy per unit area at separation L under one regulator.
 
     The image-sum route converts the energy density through E = eps * L.
     """
-    if L <= 0:
-        raise GeometryError(f"plate separation must be positive, got {L}")
-    if scheme.kind is SchemeKind.IMAGE_SUM:
-        density = energy_density_image_sum(L, scheme.n_terms)
-        return RegularizedValue(density.value * L, density.error_bound * L, scheme)
-    if scheme.kind is SchemeKind.ABEL_PLANA:
-        value = energy_per_area_abel_plana(L, scheme.quad)
-        return RegularizedValue(value.value, value.error_bound, scheme)
+    if kind is SchemeKind.IMAGE_SUM:
+        density = energy_density_image_sum(L, n_terms)
+        return SeriesResult(density.value * L, density.error_bound * L, density.terms_used)
+    if kind is SchemeKind.ABEL_PLANA:
+        return energy_per_area_abel_plana(L, quad)
     closed = -riemann_zeta(4.0) / (16.0 * math.pi ** 2 * L ** 3)
-    return RegularizedValue(closed, 0.0, scheme)
+    return SeriesResult(closed, 0.0, _ZETA_TERMS)
 
 
 @dataclass(frozen=True)
 class SchemeComparison:
     """Per-scheme scalar energy per area and their worst pairwise spread."""
 
-    energy_per_area: dict[SchemeKind, RegularizedValue]
+    energy_per_area: dict[SchemeKind, SeriesResult]
     max_relative_discrepancy: float
 
 
@@ -190,15 +156,16 @@ def compare_schemes(
 ) -> SchemeComparison:
     """Evaluate the scalar energy per area by all three regulators.
 
+    ``n_terms`` applies to the image sum only, ``quad`` to Abel-Plana only.
     Returns every value plus the maximum pairwise discrepancy relative to
     the largest magnitude among the three. Failures propagate annotated
     with the scheme that produced them.
     """
-    results: dict[SchemeKind, RegularizedValue] = {}
+    check_geometry(L)
+    results: dict[SchemeKind, SeriesResult] = {}
     for kind in SchemeKind:
-        scheme = RegScheme(kind, n_terms=n_terms, quad=quad)
         try:
-            results[kind] = evaluate_scheme(scheme, L)
+            results[kind] = _scheme_energy_per_area(kind, L, n_terms, quad)
         except Exception as exc:
             raise type(exc)(f"scheme {kind.value}: {exc}") from exc
     values = [r.value for r in results.values()]

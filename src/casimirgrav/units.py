@@ -27,11 +27,13 @@ class UnitKind(Enum):
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Output unit system. All conversions round-trip to relative 1e-12."""
+    """Output unit system of the command line, on the CODATA constants.
+
+    Natural units pass values through unchanged. SI multiplies energy-like
+    outputs by hbar*c and divides an input acceleration by c^2.
+    """
 
     kind: UnitKind
-    hbar: float = HBAR
-    c: float = C_LIGHT
 
     @property
     def is_si(self) -> bool:
@@ -39,14 +41,8 @@ class UnitSystem:
 
     def energy_like_to_output(self, value_natural: float) -> float:
         """Convert any (1/length)^k quantity to the output system."""
-        return value_natural * self.hbar * self.c if self.is_si else value_natural
-
-    def energy_like_to_natural(self, value_output: float) -> float:
-        return value_output / (self.hbar * self.c) if self.is_si else value_output
+        return value_natural * HBAR * C_LIGHT if self.is_si else value_natural
 
     def gravity_to_natural(self, g_input: float) -> float:
         """SI input is an acceleration (m/s^2); natural is inverse length."""
-        return g_input / self.c ** 2 if self.is_si else g_input
-
-    def gravity_to_output(self, g_natural: float) -> float:
-        return g_natural * self.c ** 2 if self.is_si else g_natural
+        return g_input / C_LIGHT ** 2 if self.is_si else g_input

@@ -19,25 +19,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .cavity import CavityConfig, SpacetimePoint, energy_per_area, pressure
+from .cavity import CavityConfig, SpacetimePoint, check_geometry, energy_per_area, pressure
 from .errors import GeometryError, RegimeWarning
 from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_nd
 
 __all__ = [
     "PlateApparatus",
     "WeakField",
-    "Gauge",
-    "MetricPerturbation",
-    "GaugeField",
     "apparatus_to_lab",
     "h_isotropic",
     "h_fermi",
-    "perturbation",
     "gauge_field",
     "delta_energy_quadrature",
     "delta_energy_closed",
@@ -57,8 +52,8 @@ class PlateApparatus:
     ``a`` is the transverse plate side (area A = a^2), ``L`` the plate
     separation, ``xi0`` the center offset along the plate normal and
     ``alpha`` the tilt from the gravity direction (radians, stored
-    normalized to [0, 2 pi)). The closed forms assume a >> L; smaller
-    aspect ratios only warn.
+    normalized to [0, 2 pi)). All four must be finite. The closed forms
+    assume a >> L; smaller aspect ratios only warn.
     """
 
     a: float
@@ -68,12 +63,9 @@ class PlateApparatus:
     polarizations: int = 2
 
     def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise GeometryError(f"plate side must be positive, got {self.a}")
-        if self.L <= 0:
-            raise GeometryError(f"plate separation must be positive, got {self.L}")
-        if self.polarizations not in (1, 2):
-            raise GeometryError(f"polarizations must be 1 or 2, got {self.polarizations}")
+        check_geometry(self.L, self.polarizations, self.a)
+        if not (math.isfinite(self.xi0) and math.isfinite(self.alpha)):
+            raise GeometryError(f"xi0 and alpha must be finite, got {self.xi0}, {self.alpha}")
         object.__setattr__(self, "alpha", self.alpha % _TWO_PI)
         if self.a < 10.0 * self.L:
             warnings.warn(
@@ -119,32 +111,6 @@ def _warn_linearized_regime(app: PlateApparatus, field: WeakField) -> None:
         )
 
 
-class Gauge(Enum):
-    ISOTROPIC = "isotropic"
-    FERMI = "fermi"
-
-
-@dataclass(frozen=True)
-class MetricPerturbation:
-    """Pointwise symmetric perturbation h_{mu nu}(x) in a fixed gauge."""
-
-    evaluator: Callable[[SpacetimePoint], np.ndarray]
-    gauge: Gauge
-
-    def __call__(self, p: SpacetimePoint) -> np.ndarray:
-        return self.evaluator(p)
-
-
-@dataclass(frozen=True)
-class GaugeField:
-    """Vector field zeta_mu(x) whose symmetrized gradient is h^F - h^I."""
-
-    evaluator: Callable[[SpacetimePoint], np.ndarray]
-
-    def __call__(self, p: SpacetimePoint) -> np.ndarray:
-        return self.evaluator(p)
-
-
 def apparatus_to_lab(p: tuple[float, float, float], alpha: float) -> tuple[float, float, float]:
     """Rotate apparatus coordinates (xi, eta, chi) into lab (x, y, z).
 
@@ -169,15 +135,8 @@ def h_fermi(field: WeakField, p: SpacetimePoint) -> np.ndarray:
     return h
 
 
-def perturbation(field: WeakField, gauge: Gauge) -> MetricPerturbation:
-    """Bundle one of the two gauge tables as a reusable evaluator."""
-    if gauge is Gauge.ISOTROPIC:
-        return MetricPerturbation(lambda p: h_isotropic(field, p), gauge)
-    return MetricPerturbation(lambda p: h_fermi(field, p), gauge)
-
-
-def gauge_field(field: WeakField) -> GaugeField:
-    """The vector carrying the isotropic gauge into the Fermi gauge.
+def gauge_field(field: WeakField) -> Callable[[SpacetimePoint], np.ndarray]:
+    """The vector field zeta_mu(x) carrying the isotropic gauge into the Fermi gauge.
 
     zeta_0 = 0, zeta_x = g z x / 2, zeta_y = g z y / 2,
     zeta_z = (g/4)(z^2 - x^2 - y^2); its symmetrized gradient equals
@@ -197,7 +156,7 @@ def gauge_field(field: WeakField) -> GaugeField:
             ]
         )
 
-    return GaugeField(evaluate)
+    return evaluate
 
 
 def delta_energy_closed(app: PlateApparatus, field: WeakField) -> float:

@@ -43,6 +43,19 @@ def test_compute_invalid_separation_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "pressure", "--L", "nan"],
+    ["compute", "pressure", "--L", "inf"],
+    ["gravity", "--L", "nan", "--a", "1"],
+    ["gravity", "--L", "0.1", "--a", "nan"],
+    ["gravity", "--L", "0.1", "--a", "2", "--xi0", "nan"],
+    ["regularize", "--L", "nan"],
+])
+def test_non_finite_geometry_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_compute_unknown_quantity_exits_2(capsys):
     assert main(["compute", "entropy", "--L", "1"]) == 2
 
@@ -133,7 +146,7 @@ def test_regularize_report(capsys):
 
 
 def test_regularize_single_image_term_reports_tail_bound(capsys):
-    assert main(["regularize", "--L", "1", "--scheme", "image-sum", "--n-terms", "1"]) == 0
+    assert main(["regularize", "--L", "1", "--n-terms", "1"]) == 0
     out = capsys.readouterr().out
     line = next(ln for ln in out.splitlines() if "image-sum" in ln)
     bound = float(line.split("error bound =")[1])
@@ -142,6 +155,11 @@ def test_regularize_single_image_term_reports_tail_bound(capsys):
 
 def test_regularize_invalid_separation_exits_2(capsys):
     assert main(["regularize", "--L", "-1"]) == 2
+
+
+def test_regularize_out_of_range_tolerance_exits_2(capsys):
+    assert main(["regularize", "--L", "1", "--tolerance", "0.5"]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_zeta_command(capsys):

@@ -11,7 +11,6 @@ from casimirgrav.numerics import (
     default_step,
     integrate_1d,
     integrate_nd,
-    richardson_extrapolate,
     tail_bounded_power_sum,
 )
 
@@ -200,35 +199,3 @@ def test_tail_bound_honored_by_refinement(p, n):
     coarse = tail_bounded_power_sum(p, 1.0, n)
     fine = tail_bounded_power_sum(p, 1.0, 2 * n)
     assert abs(coarse.value - fine.value) <= coarse.error_bound
-
-
-def test_richardson_eliminates_leading_term():
-    v0, c = 3.7, -2.1
-    samples = [(h, v0 + c * h ** 2) for h in (0.4, 0.1)]
-    assert richardson_extrapolate(samples, 2) == pytest.approx(v0, abs=1e-14)
-
-
-def test_richardson_constant_samples():
-    assert richardson_extrapolate([(0.2, 5.0), (0.1, 5.0), (0.05, 5.0)], 2) == 5.0
-
-
-def test_richardson_improves_on_samples():
-    f = lambda h: 1.0 + h ** 2 + h ** 4
-    est = richardson_extrapolate([(0.1, f(0.1)), (0.05, f(0.05))], 2)
-    assert abs(est - 1.0) < abs(f(0.05) - 1.0)
-    assert est == pytest.approx(1.0 - 0.1 ** 2 * 0.05 ** 2, abs=1e-15)
-
-
-def test_richardson_full_tableau_is_exact_for_matching_series():
-    f = lambda h: 1.0 + h ** 2 + h ** 4
-    est = richardson_extrapolate([(0.2, f(0.2)), (0.1, f(0.1)), (0.05, f(0.05))], 2)
-    assert est == pytest.approx(1.0, abs=1e-13)
-
-
-def test_richardson_validation():
-    with pytest.raises(DomainError):
-        richardson_extrapolate([(0.1, 1.0)], 2)
-    with pytest.raises(DomainError):
-        richardson_extrapolate([(0.1, 1.0), (0.1, 2.0)], 2)
-    with pytest.raises(DomainError):
-        richardson_extrapolate([(0.1, 1.0), (-0.2, 2.0)], 2)

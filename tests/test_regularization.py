@@ -7,13 +7,11 @@ from scipy.special import zeta as scipy_zeta
 from casimirgrav.errors import ConvergenceError, DomainError, GeometryError
 from casimirgrav.numerics import QuadratureSpec
 from casimirgrav.regularization import (
-    RegScheme,
     SchemeKind,
     abel_plana_regularized_power_sum,
     compare_schemes,
     energy_density_image_sum,
     energy_per_area_abel_plana,
-    evaluate_scheme,
     riemann_zeta,
 )
 
@@ -63,8 +61,9 @@ def test_image_sum_single_term():
     res = energy_density_image_sum(1.0, 1)
     assert res.value == pytest.approx(-1.0 / (16.0 * math.pi ** 2))
     assert res.error_bound == pytest.approx(1.0 / (48.0 * math.pi ** 2))
-    assert res.scheme.kind is SchemeKind.IMAGE_SUM
-    assert res.scheme.n_terms == 1
+    assert res.terms_used == 1
+    with pytest.raises(DomainError):
+        energy_density_image_sum(1.0, 0)
 
 
 def test_image_sum_geometry_error():
@@ -144,23 +143,12 @@ def test_compare_schemes_halving_separation():
     target = -(math.pi ** 2) / 1440.0 * 8.0
     for kind in SchemeKind:
         np.testing.assert_allclose(report.energy_per_area[kind].value, target, rtol=1e-8)
-
-
-def test_evaluate_scheme_routes():
-    for kind in SchemeKind:
-        res = evaluate_scheme(RegScheme(kind), 1.0)
-        np.testing.assert_allclose(res.value, -(math.pi ** 2) / 1440.0, rtol=1e-8)
-    assert evaluate_scheme(RegScheme(SchemeKind.ZETA_CLOSED_FORM), 1.0).error_bound == 0.0
+    assert report.energy_per_area[SchemeKind.ZETA_CLOSED_FORM].error_bound == 0.0
     with pytest.raises(GeometryError):
-        evaluate_scheme(RegScheme(SchemeKind.ZETA_CLOSED_FORM), 0.0)
+        compare_schemes(0.0)
 
 
 def test_scheme_failure_carries_identity():
     strangled = QuadratureSpec(relative_tolerance=1e-9, max_subdivisions=1, base_order=4)
     with pytest.raises(ConvergenceError, match="abel-plana"):
         compare_schemes(1.0, quad=strangled)
-
-
-def test_reg_scheme_validation():
-    with pytest.raises(DomainError):
-        RegScheme(SchemeKind.IMAGE_SUM, n_terms=0)

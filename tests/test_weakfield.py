@@ -8,7 +8,6 @@ from casimirgrav.cavity import CavityConfig, SpacetimePoint
 from casimirgrav.errors import GeometryError, RegimeWarning
 from casimirgrav.numerics import QuadratureSpec
 from casimirgrav.weakfield import (
-    Gauge,
     PlateApparatus,
     WeakField,
     apparatus_to_lab,
@@ -21,7 +20,6 @@ from casimirgrav.weakfield import (
     h_fermi,
     h_isotropic,
     isotropic_force_per_area,
-    perturbation,
 )
 
 
@@ -69,19 +67,6 @@ def test_h_fermi_table():
     np.testing.assert_array_equal(h, expected)
     np.testing.assert_array_equal(h_fermi(fld, SpacetimePoint(z=0.0)), np.zeros((4, 4)))
     np.testing.assert_array_equal(h_fermi(WeakField(0.0), SpacetimePoint(z=5.0)), np.zeros((4, 4)))
-
-
-def test_perturbation_wrappers():
-    fld = WeakField(0.7)
-    p = SpacetimePoint(1.0, -2.0, 0.5, 3.0)
-    iso = perturbation(fld, Gauge.ISOTROPIC)
-    fermi = perturbation(fld, Gauge.FERMI)
-    assert iso.gauge is Gauge.ISOTROPIC
-    assert fermi.gauge is Gauge.FERMI
-    for h in (iso(p), fermi(p)):
-        np.testing.assert_array_equal(h, h.T)
-    np.testing.assert_array_equal(iso(p), h_isotropic(fld, p))
-    np.testing.assert_array_equal(fermi(p), h_fermi(fld, p))
 
 
 def _fd_symmetrized_gradient(zeta, p, h):
