@@ -8,6 +8,7 @@ metadata in the emitted files. All series are produced in natural units.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,10 +51,10 @@ class FigureSpec:
             raise DomainError("sweep ranges require min < max")
         if self.points < 2:
             raise DomainError("sweeps need at least 2 points")
-        for L in (self.L_min,) + self.L_list:
+        for L in (self.L_min, self.L_max) + self.L_list:
             check_geometry(L)
-        if not all(A > 0 for A in (self.A_min,) + self.A_list):
-            raise DomainError("areas must be positive")
+        if not all(0.0 < A < math.inf for A in (self.A_min, self.A_max) + self.A_list):
+            raise DomainError("areas must be positive and finite")
 
 
 @dataclass(frozen=True)

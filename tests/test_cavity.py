@@ -64,6 +64,13 @@ def test_pressure_is_minus_energy_slope(L):
     assert -central_diff(e_of_l, L, h) == pytest.approx(p, rel=1e-5)
 
 
+def test_default_step_slope_at_micron_separation():
+    # SI-scale separation: the default step must stay relative to L
+    L = 1e-6
+    slope = central_diff(lambda l: energy_per_area(CavityConfig(l, 2)), L)
+    assert -slope == pytest.approx(pressure(CavityConfig(L, 2)), rel=1e-7)
+
+
 def test_brown_maclay_identities():
     rng = np.random.default_rng(11)
     for L in rng.uniform(0.1, 10.0, size=20):

@@ -132,6 +132,24 @@ def test_figure_bad_range_exits_2(capsys):
     assert main(["figure", "--id", "1", "--out", "/tmp/x.csv", "--Lmin", "5", "--Lmax", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["figure", "--id", "5", "--Amax", "inf"],
+    ["figure", "--id", "4", "--A-list", "1,inf"],
+    ["figure", "--id", "2", "--Lmax", "inf"],
+    ["figure", "--id", "1", "--g", "nan"],
+    ["figure", "--id", "6", "--g", "inf"],
+    ["gravity", "--L", "0.1", "--a", "1", "--g", "nan"],
+    ["gravity", "--L", "0.1", "--a", "1", "--g", "inf"],
+])
+def test_non_finite_sweep_or_gravity_exits_2(argv, tmp_path, capsys):
+    out_file = tmp_path / "fig.csv"
+    if argv[0] == "figure":
+        argv = argv + ["--out", str(out_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_file.exists()
+
+
 def test_figure_io_failure_exits_4(capsys):
     assert main(["figure", "--id", "1", "--out", "/no/such/dir/fig.csv"]) == 4
 

@@ -13,6 +13,7 @@ from casimirgrav.numerics import (
     integrate_nd,
     tail_bounded_power_sum,
 )
+from casimirgrav.weakfield import PlateApparatus, WeakField, delta_energy_quadrature
 
 
 def test_integrate_polynomial_exact():
@@ -129,6 +130,59 @@ def test_integrate_nd_rejects_bad_boxes():
         integrate_nd(lambda: 1.0, [])
 
 
+def _counted(f):
+    """``f`` plus a list whose length is the number of calls made to it."""
+    calls = []
+
+    def counted(*xs):
+        calls.append(xs)
+        return f(*xs)
+
+    return counted, calls
+
+
+def _bose(t):
+    w = 2.0 * math.pi * t
+    return 2.0 * t ** 3 / math.expm1(w) if w < 700.0 else 0.0
+
+
+@pytest.mark.parametrize("f, integrate", [
+    (math.sqrt, lambda f: integrate_1d(f, Interval(0.0, 1.0))),
+    (_bose, lambda f: integrate_1d(f, Interval(0.0, math.inf, decay_rate=2.0 * math.pi))),
+    (lambda x, y: math.exp(-x * x - y * y),
+     lambda f: integrate_nd(f, [Interval(-3.0, 3.0)] * 2)),
+    (lambda x, y, z: math.exp(x + y + z),
+     lambda f: integrate_nd(f, [Interval(0.0, 2.0)] * 3, QuadratureSpec(base_order=4))),
+])
+def test_terms_used_counts_every_evaluation(f, integrate):
+    counted, calls = _counted(f)
+    res = integrate(counted)
+    assert res.terms_used == len(calls)
+    assert len(set(calls)) == len(calls)  # no node, so no box, is evaluated twice
+
+
+def test_integrate_nd_bilinear_needs_one_panel():
+    # exact on the first box: the box and its 8 half-boxes, 16^3 nodes each
+    res = integrate_nd(lambda x, y, z: x * y * z + 1.0, [Interval(0.0, 1.0)] * 3)
+    assert res.value == pytest.approx(1.125, rel=1e-14)
+    assert res.terms_used == 9 * 16 ** 3
+
+
+def test_delta_energy_quadrature_evaluations():
+    app = PlateApparatus(1.0, 0.1, 0.5, 0.3, 2)
+    # three 2-axis integrals of linear integrands, one panel of 5 boxes each
+    assert delta_energy_quadrature(app, WeakField(1e-3)).terms_used == 3 * 5 * 16 ** 2
+
+
+@pytest.mark.parametrize("f, box, exact", [
+    (lambda x, y: math.exp(-x * x - y * y), [Interval(-3.0, 3.0)] * 2,
+     math.pi * math.erf(3.0) ** 2),
+    (lambda x, y, z: math.exp(x + y + z), [Interval(0.0, 1.0)] * 3, (math.e - 1.0) ** 3),
+])
+def test_integrate_nd_closed_forms(f, box, exact):
+    assert integrate_nd(f, box).value == pytest.approx(exact, rel=1e-12)
+
+
 def test_central_diff_quadratic_exact():
     for h in (1.0, 0.1, 1e-4):
         assert central_diff(lambda x: x * x, 3.0, h) == pytest.approx(6.0, rel=1e-10)
@@ -153,8 +207,10 @@ def test_central_diff_observed_order_two():
 
 
 def test_central_diff_default_step():
-    assert default_step(0.0) == 1e-5
-    assert default_step(100.0) == pytest.approx(1e-3)
+    cbrt_eps = np.finfo(np.float64).eps ** (1.0 / 3.0)
+    assert default_step(0.0) == pytest.approx(cbrt_eps, rel=1e-15)
+    assert default_step(100.0) == pytest.approx(100.0 * cbrt_eps, rel=1e-15)
+    assert default_step(-1e-6) == pytest.approx(1e-6 * cbrt_eps, rel=1e-15)
     assert central_diff(lambda x: x * x, 3.0) == pytest.approx(6.0, rel=1e-9)
 
 
