@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GeometryError, LightConeError
 
+if TYPE_CHECKING:
+    import numpy as np
 __all__ = [
     "CavityConfig",
     "StressTensor",
@@ -30,19 +31,23 @@ __all__ = [
 
 METRIC_DIAGONAL = (-1.0, 1.0, 1.0, 1.0)
 
+# L^4 stays within 1e+-300 here: no closed form (L^-4 ... L^4 times a prefactor
+# in [1e-3, 1]) overflows, underflows to zero or divides by zero.
+L_MIN, L_MAX = 1e-75, 1e75
+
 
 def check_geometry(L: float, polarizations: int = 1, a: float | None = None) -> None:
     """Raise :class:`GeometryError` unless the plate geometry is physical.
 
-    The one validator of plate geometry in the package: the separation
-    ``L`` and, for an apparatus, the plate side ``a`` must satisfy
-    0 < x < inf (NaN fails too), and ``polarizations`` must be 1 (scalar)
-    or 2 (EM).
+    The one validator of plate geometry in the package: the plate side
+    ``a`` of an apparatus must satisfy 0 < a < inf, the separation ``L``
+    must lie in [L_MIN, L_MAX] (NaN fails both), and ``polarizations``
+    must be 1 (scalar) or 2 (EM).
     """
     if a is not None and not 0.0 < a < math.inf:
         raise GeometryError(f"plate side must be positive and finite, got {a}")
-    if not 0.0 < L < math.inf:
-        raise GeometryError(f"plate separation must be positive and finite, got {L}")
+    if not L_MIN <= L <= L_MAX:
+        raise GeometryError(f"plate separation must lie in [{L_MIN:g}, {L_MAX:g}], got {L}")
     if polarizations not in (1, 2):
         raise GeometryError(f"polarizations must be 1 (scalar) or 2 (EM), got {polarizations}")
 
@@ -65,6 +70,7 @@ class StressTensor:
     components: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         c = np.asarray(self.components, dtype=float)
         if c.shape != (4, 4):
             raise GeometryError("stress tensor must be 4x4")
@@ -115,6 +121,7 @@ def brown_maclay_tensor(cfg: CavityConfig, flip_transverse_y: bool = False) -> S
     circulates in parts of the literature; it breaks tracelessness and
     transverse symmetry and is kept only for side-by-side comparison.
     """
+    import numpy as np
     e_over_l = energy_per_area(cfg) / cfg.L
     yy = e_over_l if flip_transverse_y else -e_over_l
     components = np.diag([e_over_l, -e_over_l, yy, 3.0 * e_over_l])

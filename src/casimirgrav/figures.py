@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cavity import CavityConfig, check_geometry, energy_density, energy_per_area, pressure
 from .errors import DomainError
 from .weakfield import WeakField, delta_force_per_area, fermi_force_per_area
 
+if TYPE_CHECKING:
+    import numpy as np
 __all__ = ["FigureSpec", "FigureData", "figure_series", "write_csv", "write_json"]
 
 FIGURE_TITLES = {
@@ -67,91 +68,75 @@ class FigureData:
 
 
 def figure_series(spec: FigureSpec) -> FigureData:
-    """Evaluate the sweep for ``spec``; rows are (points, n_columns)."""
+    """Evaluate the sweep for ``spec``; rows are (points, n_columns). A separation
+    sweep builds one :class:`CavityConfig` per point from a Python float and
+    derives every column from it, so each cell is the scalar closed form."""
+    import numpy as np
     field_g = WeakField(spec.g)
+    pol = spec.polarizations
     meta = [
         f"figure {spec.fig_id}: {FIGURE_TITLES[spec.fig_id]}",
         "natural units (hbar = c = 1); parameter defaults are artifact choices",
-        f"g={spec.g:g} polarizations={spec.polarizations}",
+        f"g={spec.g:g} polarizations={pol}",
     ]
-
-    if spec.fig_id in (1, 2, 3):
-        L = np.linspace(spec.L_min, spec.L_max, spec.points)
-        if spec.fig_id == 1:
-            name, fn = "energy_density", lambda l: energy_density(l)
-        elif spec.fig_id == 2:
-            name, fn = "pressure", lambda l: pressure(CavityConfig(l, spec.polarizations))
-        else:
-            name, fn = "energy_per_area", lambda l: energy_per_area(
-                CavityConfig(l, spec.polarizations)
-            )
-        values = np.array([fn(l) for l in L])
-        meta.append(f"L_min={spec.L_min:g} L_max={spec.L_max:g} points={spec.points}")
-        return FigureData(["L", name], np.column_stack([L, values]), meta)
-
-    if spec.fig_id == 4:
-        L = np.linspace(spec.L_min, spec.L_max, spec.points)
-        cols = [L]
-        names = ["L"]
-        for area in spec.A_list:
-            cols.append(
-                np.array(
-                    [
-                        area * delta_force_per_area(field_g, CavityConfig(l, spec.polarizations))
-                        for l in L
-                    ]
-                )
-            )
-            names.append(f"delta_force[A={area:g}]")
-        meta.append(
-            f"L_min={spec.L_min:g} L_max={spec.L_max:g} points={spec.points} "
-            f"A_list={','.join(f'{a:g}' for a in spec.A_list)}"
-        )
-        return FigureData(names, np.column_stack(cols), meta)
 
     if spec.fig_id == 5:
         A = np.linspace(spec.A_min, spec.A_max, spec.points)
-        cols = [A]
-        names = ["A"]
-        for L in spec.L_list:
-            slope = delta_force_per_area(field_g, CavityConfig(L, spec.polarizations))
-            cols.append(A * slope)
-            names.append(f"delta_force[L={L:g}]")
+        slopes = [delta_force_per_area(field_g, CavityConfig(L, pol)) for L in spec.L_list]
+        names = ["A"] + [f"delta_force[L={L:g}]" for L in spec.L_list]
         meta.append(
             f"A_min={spec.A_min:g} A_max={spec.A_max:g} points={spec.points} "
             f"L_list={','.join(f'{l:g}' for l in spec.L_list)}"
         )
-        return FigureData(names, np.column_stack(cols), meta)
+        return FigureData(names, np.column_stack([A] + [A * s for s in slopes]), meta)
 
     L = np.linspace(spec.L_min, spec.L_max, spec.points)
-    delta = np.array(
-        [delta_force_per_area(field_g, CavityConfig(l, spec.polarizations)) for l in L]
-    )
-    fermi = np.array(
-        [fermi_force_per_area(field_g, CavityConfig(l, spec.polarizations)) for l in L]
-    )
-    meta.append(f"L_min={spec.L_min:g} L_max={spec.L_max:g} points={spec.points}")
-    return FigureData(
-        ["L", "delta_force_per_area", "fermi_force_per_area"],
-        np.column_stack([L, delta, fermi]),
-        meta,
-    )
+    sweep = f"L_min={spec.L_min:g} L_max={spec.L_max:g} points={spec.points}"
+    points = L.tolist()
+    configs = (CavityConfig(l, pol) for l in points)
+    if spec.fig_id == 1:  # the energy density is per polarization: no configuration
+        names, cols = ["L", "energy_density"], [[energy_density(l) for l in points]]
+    elif spec.fig_id == 2:
+        names, cols = ["L", "pressure"], [[pressure(c) for c in configs]]
+    elif spec.fig_id == 3:
+        names, cols = ["L", "energy_per_area"], [[energy_per_area(c) for c in configs]]
+    elif spec.fig_id == 4:
+        names = ["L"] + [f"delta_force[A={area:g}]" for area in spec.A_list]
+        delta = np.array([delta_force_per_area(field_g, c) for c in configs])
+        cols = [area * delta for area in spec.A_list]
+        sweep += f" A_list={','.join(f'{a:g}' for a in spec.A_list)}"
+    else:
+        names = ["L", "delta_force_per_area", "fermi_force_per_area"]
+        cols = [np.array([(delta_force_per_area(field_g, c), fermi_force_per_area(field_g, c))
+                          for c in configs])]
+    return FigureData(names, np.column_stack([L, *cols]), meta + [sweep])
 
 
 def write_csv(data: FigureData, path: str) -> None:
     """Comma-separated values: '#' metadata lines, header row, 17 significant
     digits per cell so re-parsing round-trips exactly."""
+    row = ",".join(["{:.16e}"] * len(data.columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for line in data.metadata:
             fh.write(f"# {line}\n")
         fh.write(",".join(data.columns) + "\n")
-        for row in data.rows:
-            fh.write(",".join(f"{v:.16e}" for v in row) + "\n")
+        fh.writelines(row.format(*values) for values in data.rows.tolist())
+
+
+def _json_number(v: float) -> str:
+    """``v`` as :mod:`json` writes it: its repr, or NaN / Infinity / -Infinity."""
+    return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
 def write_json(data: FigureData, path: str) -> None:
-    """JSON mirror of the CSV columns: an array of row objects."""
-    rows = [dict(zip(data.columns, map(float, row))) for row in data.rows]
+    """JSON mirror of the CSV columns: an array of row objects, laid out as
+    ``json.dump(rows, fh, indent=1)`` lays them out."""
+    keys = (json.dumps(c).replace("{", "{{").replace("}", "}}") for c in data.columns)
+    row = " {{\n" + ",\n".join(f"  {k}: {{}}" for k in keys) + "\n }}"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
+        fh.write("[")
+        sep = "\n"
+        for values in data.rows.tolist():
+            fh.write(sep + row.format(*map(_json_number, values)))
+            sep = ",\n"
+        fh.write("\n]\n" if len(data.rows) else "]\n")

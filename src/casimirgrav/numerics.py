@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, starmap
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import ConvergenceError, DivergentSeriesError, DomainError
 
@@ -37,7 +36,7 @@ __all__ = [
     "tail_bounded_power_sum",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
+_EPS = sys.float_info.epsilon
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 
 
@@ -124,6 +123,7 @@ class SeriesResult:
 def _gauss_legendre(order: int, dim: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Gauss-Legendre nodes on [-1, 1] and the ``dim``-fold tensor product of
     the weights, in :func:`itertools.product` order."""
+    import numpy as np
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return tuple(nodes.tolist()), tuple(
         math.prod(ws) for ws in product(weights.tolist(), repeat=dim)

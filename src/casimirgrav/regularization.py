@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cavity import check_geometry
-from .errors import DomainError
+from .errors import CasimirError, DomainError
 from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_1d, tail_bounded_power_sum
 
 __all__ = [
@@ -40,6 +40,7 @@ _ZETA_TERMS = 50
 _BERNOULLI_EVEN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)
 
 DEFAULT_IMAGE_TERMS = 10_000
+MAX_IMAGE_TERMS = 10**6  # its tail bound 1/(3 N^3) is below 1/600 ulp of zeta(4)
 
 
 class SchemeKind(Enum):
@@ -70,9 +71,11 @@ def energy_density_image_sum(L: float, n_terms: int = DEFAULT_IMAGE_TERMS) -> Se
     """Casimir energy density from the image sum -(1/16 pi^2 L^4) sum 1/n^4.
 
     Converges to -pi^2/(1440 L^4); the bound 1/(3 N^3) on the omitted tail
-    comes from the integral comparison test.
+    comes from the integral comparison test. At most MAX_IMAGE_TERMS terms.
     """
     check_geometry(L)
+    if n_terms > MAX_IMAGE_TERMS:
+        raise DomainError(f"n_terms must be at most {MAX_IMAGE_TERMS}, got {n_terms}")
     prefactor = 1.0 / (16.0 * math.pi ** 2 * L ** 4)
     partial = tail_bounded_power_sum(4.0, prefactor, n_terms)
     return SeriesResult(-partial.value, partial.error_bound, partial.terms_used)
@@ -158,15 +161,15 @@ def compare_schemes(
 
     ``n_terms`` applies to the image sum only, ``quad`` to Abel-Plana only.
     Returns every value plus the maximum pairwise discrepancy relative to
-    the largest magnitude among the three. Failures propagate annotated
-    with the scheme that produced them.
+    the largest magnitude among the three. Package errors propagate annotated
+    with the scheme that produced them, any other exception unchanged.
     """
     check_geometry(L)
     results: dict[SchemeKind, SeriesResult] = {}
     for kind in SchemeKind:
         try:
             results[kind] = _scheme_energy_per_area(kind, L, n_terms, quad)
-        except Exception as exc:
+        except CasimirError as exc:
             raise type(exc)(f"scheme {kind.value}: {exc}") from exc
     values = [r.value for r in results.values()]
     scale = max(abs(v) for v in values)

@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .cavity import CavityConfig, SpacetimePoint, check_geometry, energy_per_area, pressure
 from .errors import GeometryError, RegimeWarning
 from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_nd
 
+if TYPE_CHECKING:
+    import numpy as np
 __all__ = [
     "PlateApparatus",
     "WeakField",
@@ -125,11 +125,13 @@ def apparatus_to_lab(p: tuple[float, float, float], alpha: float) -> tuple[float
 
 def h_isotropic(field: WeakField, p: SpacetimePoint) -> np.ndarray:
     """Isotropic-gauge perturbation: diag(-gz, -gz, -gz, -gz)."""
+    import numpy as np
     return np.diag([-field.g * p.z] * 4)
 
 
 def h_fermi(field: WeakField, p: SpacetimePoint) -> np.ndarray:
     """Fermi-gauge perturbation: only h_00 = -gz survives."""
+    import numpy as np
     h = np.zeros((4, 4))
     h[0, 0] = -field.g * p.z
     return h
@@ -147,6 +149,7 @@ def gauge_field(field: WeakField) -> Callable[[SpacetimePoint], np.ndarray]:
     g = field.g
 
     def evaluate(p: SpacetimePoint) -> np.ndarray:
+        import numpy as np
         return np.array(
             [
                 0.0,

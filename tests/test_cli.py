@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,41 @@ def test_compute_invalid_separation_exits_2(capsys):
 def test_non_finite_geometry_exits_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "pressure", "--L", "1e-300"],
+    ["compute", "pressure", "--L", "1e300"],
+    ["regularize", "--L", "1e300"],
+    ["compute", "energy-density", "--L", "1e-78"],
+    ["figure", "--id", "1", "--Lmin", "1e-100", "--Lmax", "1e-99"],
+])
+def test_separation_outside_double_range_exits_2(argv, tmp_path, capsys):
+    out_file = tmp_path / "fig.csv"
+    if argv[0] == "figure":
+        argv = argv + ["--out", str(out_file)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_file.exists()
+
+
+def test_math_only_commands_load_no_numpy():
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import casimirgrav.cli as cli",
+        "assert 'numpy' not in sys.modules, 'import'",
+        "for argv in (['zeta', '--s', '4'], ['compute', 'pressure', '--L', '1'],",
+        "             ['gravity', '--L', '0.1', '--a', '1', '--xi0', '0.5']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(argv) == 0, argv",
+        "    assert 'numpy' not in sys.modules, argv",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_compute_unknown_quantity_exits_2(capsys):
@@ -173,6 +212,12 @@ def test_regularize_single_image_term_reports_tail_bound(capsys):
 
 def test_regularize_invalid_separation_exits_2(capsys):
     assert main(["regularize", "--L", "-1"]) == 2
+
+
+@pytest.mark.parametrize("n_terms", ["0", "1000001"])
+def test_regularize_n_terms_out_of_range_exits_2(n_terms, capsys):
+    assert main(["regularize", "--L", "1", "--n-terms", n_terms]) == 2
+    assert capsys.readouterr().err.startswith("error: scheme image-sum:")
 
 
 def test_regularize_out_of_range_tolerance_exits_2(capsys):

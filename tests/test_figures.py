@@ -6,7 +6,7 @@ import pytest
 
 from casimirgrav.cavity import CavityConfig, energy_density, energy_per_area, pressure
 from casimirgrav.errors import DomainError
-from casimirgrav.figures import FigureSpec, figure_series, write_csv, write_json
+from casimirgrav.figures import FigureData, FigureSpec, figure_series, write_csv, write_json
 from casimirgrav.weakfield import WeakField, delta_force_per_area
 
 
@@ -94,3 +94,43 @@ def test_json_mirrors_columns(tmp_path):
     for row, values in zip(rows, data.rows):
         for col, v in zip(data.columns, values):
             assert row[col] == pytest.approx(float(v), rel=1e-15)
+
+
+# figures 1-6 at a few points, plus sweeps whose cells reach exponents near +-300
+WRITER_SPECS = [FigureSpec(fig_id, points=7) for fig_id in range(1, 7)] + [
+    FigureSpec(1, L_min=1e-75, L_max=3e-75, points=5),
+    FigureSpec(2, L_min=2e74, L_max=1e75, points=5),
+    FigureSpec(4, L_min=1e-74, L_max=1e74, points=5, A_list=(1e-3, 7.0)),
+]
+
+
+def _reference_csv(data):
+    lines = [f"# {line}\n" for line in data.metadata] + [",".join(data.columns) + "\n"]
+    lines += [",".join(f"{v:.16e}" for v in row) + "\n" for row in data.rows]
+    return "".join(lines)
+
+
+def _reference_json(data):
+    rows = [dict(zip(data.columns, map(float, row))) for row in data.rows]
+    return json.dumps(rows, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("spec", WRITER_SPECS, ids=repr)
+def test_writers_match_reference_rendering(spec, tmp_path):
+    data = figure_series(spec)
+    assert np.all(np.isfinite(data.rows))
+    write_csv(data, str(tmp_path / "fig.csv"))
+    write_json(data, str(tmp_path / "fig.json"))
+    assert (tmp_path / "fig.csv").read_text() == _reference_csv(data)
+    assert (tmp_path / "fig.json").read_text() == _reference_json(data)
+
+
+def test_writers_render_non_finite_cells(tmp_path):
+    rows = np.array([[1.0, math.nan, math.inf], [-math.inf, -0.0, 5e-324]])
+    data = FigureData(["x", "y {0}", "z"], rows, ["hand-built"])
+    write_csv(data, str(tmp_path / "fig.csv"))
+    write_json(data, str(tmp_path / "fig.json"))
+    assert (tmp_path / "fig.csv").read_text() == _reference_csv(data)
+    text = (tmp_path / "fig.json").read_text()
+    assert text == _reference_json(data)
+    assert '"y {0}": NaN' in text and '"z": Infinity' in text and '"x": -Infinity' in text

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
 
+from casimirgrav import regularization
 from casimirgrav.errors import ConvergenceError, DomainError, GeometryError
 from casimirgrav.numerics import QuadratureSpec
 from casimirgrav.regularization import (
+    MAX_IMAGE_TERMS,
     SchemeKind,
     abel_plana_regularized_power_sum,
     compare_schemes,
@@ -152,3 +154,25 @@ def test_scheme_failure_carries_identity():
     strangled = QuadratureSpec(relative_tolerance=1e-9, max_subdivisions=1, base_order=4)
     with pytest.raises(ConvergenceError, match="abel-plana"):
         compare_schemes(1.0, quad=strangled)
+
+
+class _TwoArgumentError(Exception):
+    def __init__(self, reason, code):
+        super().__init__(reason, code)
+
+
+def test_scheme_failure_outside_package_propagates_unchanged(monkeypatch):
+    def failing_image_sum(L, n_terms):
+        raise _TwoArgumentError("out of memory", 12)
+
+    monkeypatch.setattr(regularization, "energy_density_image_sum", failing_image_sum)
+    with pytest.raises(_TwoArgumentError) as info:
+        compare_schemes(1.0)
+    assert info.value.args == ("out of memory", 12)
+
+
+def test_image_sum_term_cap():
+    with pytest.raises(DomainError, match="at most"):
+        energy_density_image_sum(1.0, MAX_IMAGE_TERMS + 1)
+    with pytest.raises(DomainError, match="scheme image-sum"):
+        compare_schemes(1.0, n_terms=MAX_IMAGE_TERMS + 1)
