@@ -112,6 +112,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_gravity(args: argparse.Namespace) -> int:
     units = _units_from(args)
+    out = units.energy_like_to_output
+    per_area = _unit_label(units, "pressure")
     g_nat = units.gravity_to_natural(args.g)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RegimeWarning)
@@ -127,21 +129,20 @@ def _cmd_gravity(args: argparse.Namespace) -> int:
             discrepancy = abs(quad.value - closed) / scale if scale > 0 else 0.0
         else:
             delta_e = closed
+    # every value is computed before the first line is printed, so a result
+    # that overflows leaves no partial output
+    lines = [f"Delta E_g ({args.method}) = {_fmt(out(delta_e))}{_unit_label(units, 'energy')}"]
+    if args.method == "quadrature":
+        lines.append(f"relative discrepancy vs closed form = {discrepancy:.3e}")
+    lines += [
+        f"Delta F / A = {_fmt(out(delta_force_per_area(fld, cfg)))}{per_area}",
+        f"F_iso / A   = {_fmt(out(isotropic_force_per_area(fld, cfg)))}{per_area}",
+        f"F_fermi / A = {_fmt(out(fermi_force_per_area(fld, cfg)))}{per_area}",
+        f"fractional correction (Delta F / F_flat) = {_fmt(fractional_correction(fld, cfg))}",
+    ]
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-
-    print(f"Delta E_g ({args.method}) = {_fmt(units.energy_like_to_output(delta_e))}"
-          f"{_unit_label(units, 'energy')}")
-    if args.method == "quadrature":
-        print(f"relative discrepancy vs closed form = {discrepancy:.3e}")
-    per_area = _unit_label(units, "pressure")
-    print(f"Delta F / A = {_fmt(units.energy_like_to_output(delta_force_per_area(fld, cfg)))}"
-          f"{per_area}")
-    print(f"F_iso / A   = {_fmt(units.energy_like_to_output(isotropic_force_per_area(fld, cfg)))}"
-          f"{per_area}")
-    print(f"F_fermi / A = {_fmt(units.energy_like_to_output(fermi_force_per_area(fld, cfg)))}"
-          f"{per_area}")
-    print(f"fractional correction (Delta F / F_flat) = {_fmt(fractional_correction(fld, cfg))}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gravity order parameter (natural: 1/length; si: m/s^2)")
     p.add_argument("--polarizations", type=int, default=2, choices=[1, 2])
     p.add_argument("--method", choices=["closed", "quadrature"], default="closed")
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    p.add_argument("--tolerance", type=float, default=QuadratureSpec.relative_tolerance,
                    help="quadrature relative tolerance")
     _add_units_flag(p)
     p.set_defaults(func=_cmd_gravity)
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True, help="plate separation")
     p.add_argument("--n-terms", dest="n_terms", type=int, default=DEFAULT_IMAGE_TERMS,
                    help="image-sum term count")
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    p.add_argument("--tolerance", type=float, default=QuadratureSpec.relative_tolerance,
                    help="abel-plana quadrature relative tolerance")
     p.set_defaults(func=_cmd_regularize)
 

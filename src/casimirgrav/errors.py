@@ -1,4 +1,6 @@
-"""Exception hierarchy and advisory warnings."""
+"""Exception hierarchy, advisory warnings and the finite-result check."""
+
+import math
 
 __all__ = [
     "CasimirError",
@@ -8,6 +10,7 @@ __all__ = [
     "DivergentSeriesError",
     "LightConeError",
     "RegimeWarning",
+    "check_finite",
 ]
 
 
@@ -37,3 +40,11 @@ class LightConeError(DomainError):
 
 class RegimeWarning(UserWarning):
     """Advisory: inputs outside the regime the closed forms were derived in."""
+
+
+def check_finite(value: float, what: str) -> float:
+    """``value`` if it is finite, else :class:`DomainError`: the inputs took
+    ``what`` outside the double range (an inf, or the NaN of inf - inf or inf * 0)."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} overflows the double range for these inputs")
+    return value

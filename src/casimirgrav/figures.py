@@ -29,6 +29,8 @@ FIGURE_TITLES = {
     6: "force change per area and Fermi force per area vs plate separation",
 }
 
+MAX_POINTS = 10**6  # a figure 6 CSV of this many rows is 70 MB
+
 
 @dataclass(frozen=True)
 class FigureSpec:
@@ -50,8 +52,8 @@ class FigureSpec:
             raise DomainError(f"figure id must be 1..6, got {self.fig_id}")
         if not (self.L_min < self.L_max and self.A_min < self.A_max):
             raise DomainError("sweep ranges require min < max")
-        if self.points < 2:
-            raise DomainError("sweeps need at least 2 points")
+        if not 2 <= self.points <= MAX_POINTS:
+            raise DomainError(f"sweeps need 2 to {MAX_POINTS} points, got {self.points}")
         for L in (self.L_min, self.L_max) + self.L_list:
             check_geometry(L)
         if not all(0.0 < A < math.inf for A in (self.A_min, self.A_max) + self.A_list):
@@ -70,7 +72,8 @@ class FigureData:
 def figure_series(spec: FigureSpec) -> FigureData:
     """Evaluate the sweep for ``spec``; rows are (points, n_columns). A separation
     sweep builds one :class:`CavityConfig` per point from a Python float and
-    derives every column from it, so each cell is the scalar closed form."""
+    derives every column from it, so each cell is the scalar closed form.
+    Raises :class:`DomainError` if any cell leaves the double range."""
     import numpy as np
     field_g = WeakField(spec.g)
     pol = spec.polarizations
@@ -81,35 +84,38 @@ def figure_series(spec: FigureSpec) -> FigureData:
     ]
 
     if spec.fig_id == 5:
-        A = np.linspace(spec.A_min, spec.A_max, spec.points)
+        x = np.linspace(spec.A_min, spec.A_max, spec.points)
         slopes = [delta_force_per_area(field_g, CavityConfig(L, pol)) for L in spec.L_list]
         names = ["A"] + [f"delta_force[L={L:g}]" for L in spec.L_list]
-        meta.append(
-            f"A_min={spec.A_min:g} A_max={spec.A_max:g} points={spec.points} "
-            f"L_list={','.join(f'{l:g}' for l in spec.L_list)}"
-        )
-        return FigureData(names, np.column_stack([A] + [A * s for s in slopes]), meta)
-
-    L = np.linspace(spec.L_min, spec.L_max, spec.points)
-    sweep = f"L_min={spec.L_min:g} L_max={spec.L_max:g} points={spec.points}"
-    points = L.tolist()
-    configs = (CavityConfig(l, pol) for l in points)
-    if spec.fig_id == 1:  # the energy density is per polarization: no configuration
-        names, cols = ["L", "energy_density"], [[energy_density(l) for l in points]]
-    elif spec.fig_id == 2:
-        names, cols = ["L", "pressure"], [[pressure(c) for c in configs]]
-    elif spec.fig_id == 3:
-        names, cols = ["L", "energy_per_area"], [[energy_per_area(c) for c in configs]]
-    elif spec.fig_id == 4:
-        names = ["L"] + [f"delta_force[A={area:g}]" for area in spec.A_list]
-        delta = np.array([delta_force_per_area(field_g, c) for c in configs])
-        cols = [area * delta for area in spec.A_list]
-        sweep += f" A_list={','.join(f'{a:g}' for a in spec.A_list)}"
+        sweep = (f"A_min={spec.A_min:g} A_max={spec.A_max:g} points={spec.points} "
+                 f"L_list={','.join(f'{l:g}' for l in spec.L_list)}")
+        with np.errstate(over="ignore"):  # an overflow fails the finite check below
+            cols = [x * s for s in slopes]
     else:
-        names = ["L", "delta_force_per_area", "fermi_force_per_area"]
-        cols = [np.array([(delta_force_per_area(field_g, c), fermi_force_per_area(field_g, c))
-                          for c in configs])]
-    return FigureData(names, np.column_stack([L, *cols]), meta + [sweep])
+        x = np.linspace(spec.L_min, spec.L_max, spec.points)
+        sweep = f"L_min={spec.L_min:g} L_max={spec.L_max:g} points={spec.points}"
+        points = x.tolist()
+        configs = (CavityConfig(l, pol) for l in points)
+        if spec.fig_id == 1:  # the energy density is per polarization: no configuration
+            names, cols = ["L", "energy_density"], [[energy_density(l) for l in points]]
+        elif spec.fig_id == 2:
+            names, cols = ["L", "pressure"], [[pressure(c) for c in configs]]
+        elif spec.fig_id == 3:
+            names, cols = ["L", "energy_per_area"], [[energy_per_area(c) for c in configs]]
+        elif spec.fig_id == 4:
+            names = ["L"] + [f"delta_force[A={area:g}]" for area in spec.A_list]
+            delta = np.array([delta_force_per_area(field_g, c) for c in configs])
+            with np.errstate(over="ignore"):
+                cols = [area * delta for area in spec.A_list]
+            sweep += f" A_list={','.join(f'{a:g}' for a in spec.A_list)}"
+        else:
+            names = ["L", "delta_force_per_area", "fermi_force_per_area"]
+            cols = [np.array([(delta_force_per_area(field_g, c), fermi_force_per_area(field_g, c))
+                              for c in configs])]
+    rows = np.column_stack([x, *cols])
+    if not np.isfinite(rows).all():
+        raise DomainError(f"figure {spec.fig_id} overflows the double range for these inputs")
+    return FigureData(names, rows, meta + [sweep])
 
 
 def write_csv(data: FigureData, path: str) -> None:

@@ -39,6 +39,9 @@ __all__ = [
 _EPS = sys.float_info.epsilon
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 
+_ORDER = 16  # Gauss-Legendre nodes per axis of a box
+_MAX_SPLITS = 40  # panel splits before ConvergenceError
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -72,23 +75,14 @@ class Interval:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and budget for the adaptive quadrature.
-
-    ``base_order`` is the number of Gauss-Legendre nodes per panel;
-    ``max_subdivisions`` caps the number of panel bisections.
-    """
+    """Relative tolerance of the adaptive quadrature, the one setting of its
+    fixed rule (16 Gauss-Legendre nodes per axis, at most 40 panel splits)."""
 
     relative_tolerance: float = 1e-9
-    max_subdivisions: int = 40
-    base_order: int = 16
 
     def __post_init__(self) -> None:
         if not 0.0 < self.relative_tolerance <= 1e-2:
             raise DomainError("relative_tolerance must lie in (0, 1e-2]")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be a positive integer")
-        if self.base_order < 4:
-            raise DomainError("base_order must be at least 4")
 
 
 @dataclass(frozen=True)
@@ -120,11 +114,11 @@ class SeriesResult:
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(order: int, dim: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes on [-1, 1] and the ``dim``-fold tensor product of
-    the weights, in :func:`itertools.product` order."""
+def _gauss_legendre(dim: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The ``_ORDER`` Gauss-Legendre nodes on [-1, 1] and the ``dim``-fold
+    tensor product of the weights, in :func:`itertools.product` order."""
     import numpy as np
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_ORDER)
     return tuple(nodes.tolist()), tuple(
         math.prod(ws) for ws in product(weights.tolist(), repeat=dim)
     )
@@ -172,7 +166,7 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
     """Adaptive tensor Gauss-Legendre quadrature of ``f`` over ``boxes``, all
     with the same number of axes; see the module docstring."""
     dim = len(boxes[0])
-    nodes, weights = _gauss_legendre(spec.base_order, dim)
+    nodes, weights = _gauss_legendre(dim)
     heap: list[_Panel] = []
     for box in boxes:
         coarse, _ = _box_sums(f, box, nodes, weights)
@@ -189,10 +183,10 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
         # sums; below that level the relative target is unattainable.
         if err <= max(spec.relative_tolerance * abs(total), 64.0 * _EPS * gross):
             return SeriesResult(total, err, evals)
-        if splits >= spec.max_subdivisions:
+        if splits >= _MAX_SPLITS:
             raise ConvergenceError(
                 f"quadrature did not reach relative tolerance "
-                f"{spec.relative_tolerance:g} within {spec.max_subdivisions} "
+                f"{spec.relative_tolerance:g} within {_MAX_SPLITS} "
                 f"subdivisions (estimated error {err:.3e} on value {total:.6e})"
             )
         worst = heapq.heappop(heap)
@@ -220,7 +214,7 @@ def integrate_1d(
     Args:
       f: integrand, finite on the interior of ``iv``.
       iv: integration interval.
-      spec: tolerance/budget; see :class:`QuadratureSpec`.
+      spec: relative tolerance; see :class:`QuadratureSpec`.
 
     Returns:
       :class:`SeriesResult` with the refinement error estimate as bound
@@ -257,8 +251,8 @@ def integrate_nd(
     compared against its 2^d half-boxes (every axis bisected), and the
     panel with the largest disagreement is split. ``f`` is called with one
     positional float per axis, ``f(x0, ..., x_{n-1})``. The reported bound
-    is the sum of those disagreements over all panels; ``max_subdivisions``
-    caps the number of panel splits.
+    is the sum of those disagreements over all panels, after at most 40
+    panel splits.
     """
     ivs = list(box)
     if not 1 <= len(ivs) <= 3:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .cavity import CavityConfig, SpacetimePoint, check_geometry, energy_per_area, pressure
-from .errors import GeometryError, RegimeWarning
+from .errors import GeometryError, RegimeWarning, check_finite
 from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_nd
 
 if TYPE_CHECKING:
@@ -166,7 +166,7 @@ def delta_energy_closed(app: PlateApparatus, field: WeakField) -> float:
     """Gravitational energy shift Delta E = -A g E_C xi0 cos(alpha)."""
     _warn_linearized_regime(app, field)
     e_c = energy_per_area(app.cavity())
-    return -app.area * field.g * e_c * app.xi0 * math.cos(app.alpha)
+    return check_finite(-app.area * field.g * e_c * app.xi0 * math.cos(app.alpha), "Delta E_g")
 
 
 def delta_energy_quadrature(
@@ -211,24 +211,26 @@ def delta_energy_quadrature(
     bound = abs(front1) * term1.error_bound + abs(front23) * (
         term2.error_bound + term3.error_bound
     )
-    return SeriesResult(value, bound, term1.terms_used + term2.terms_used + term3.terms_used)
+    return SeriesResult(check_finite(value, "Delta E_g"), bound,
+                        term1.terms_used + term2.terms_used + term3.terms_used)
 
 
 def delta_force_per_area(field: WeakField, cfg: CavityConfig) -> float:
     """Change of the force per unit area, Delta F / A = g E_C."""
-    return field.g * energy_per_area(cfg)
+    return check_finite(field.g * energy_per_area(cfg), "Delta F / A")
 
 
 def isotropic_force_per_area(field: WeakField, cfg: CavityConfig) -> float:
     """Isotropic-gauge force per unit area, F^I / A = -2 g E_C."""
-    return -2.0 * delta_force_per_area(field, cfg)
+    return check_finite(-2.0 * delta_force_per_area(field, cfg), "F_iso / A")
 
 
 def fermi_force_per_area(field: WeakField, cfg: CavityConfig) -> float:
-    """Fermi force per unit area, F^F / A = F^I / A + Delta F / A = -g E_C."""
+    """Fermi force per unit area, F^F / A = F^I / A + Delta F / A = -g E_C,
+    exactly -(Delta F / A), so finite whenever F^I / A is."""
     return isotropic_force_per_area(field, cfg) + delta_force_per_area(field, cfg)
 
 
 def fractional_correction(field: WeakField, cfg: CavityConfig) -> float:
     """Correction relative to the flat pressure: g E_C / P = g L / 3."""
-    return delta_force_per_area(field, cfg) / pressure(cfg)
+    return check_finite(delta_force_per_area(field, cfg) / pressure(cfg), "Delta F / F_flat")

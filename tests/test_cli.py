@@ -189,6 +189,36 @@ def test_non_finite_sweep_or_gravity_exits_2(argv, tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gravity", "--L", "0.1", "--a", "1e200", "--xi0", "0.5"],
+    ["gravity", "--L", "0.1", "--a", "1", "--xi0", "1e307", "--g", "1e300"],
+    ["gravity", "--L", "0.1", "--a", "1e200", "--xi0", "0.5", "--method", "quadrature"],
+    # Delta E_g is finite here, F_iso / A = -2 g E_C is not
+    ["gravity", "--L", "1e-75", "--a", "1e-70", "--xi0", "1e-300", "--g", "1e85"],
+    ["figure", "--id", "4", "--A-list", "1e308", "--Lmin", "0.01", "--Lmax", "0.02"],
+    ["figure", "--id", "5", "--Amin", "1e307", "--Amax", "1e308", "--g", "1e10"],
+    ["figure", "--id", "6", "--g", "1e308", "--Lmin", "1e-75", "--Lmax", "1e-74"],
+])
+def test_finite_inputs_with_overflowing_results_exit_2(argv, tmp_path, capsys):
+    out_file = tmp_path / "fig.csv"
+    if argv[0] == "figure":
+        argv = argv + ["--out", str(out_file)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not re.search(r"\b(inf|nan)\b", captured.err, re.IGNORECASE)
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("points", ["1000001", "100000000000"])
+def test_figure_points_above_cap_exit_2(points, tmp_path, capsys):
+    out_file = tmp_path / "fig.csv"
+    assert main(["figure", "--id", "1", "--points", points, "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: sweeps need 2 to 1000000 points")
+    assert not out_file.exists()
+
+
 def test_figure_io_failure_exits_4(capsys):
     assert main(["figure", "--id", "1", "--out", "/no/such/dir/fig.csv"]) == 4
 
@@ -234,6 +264,19 @@ def test_zeta_command(capsys):
 
 def test_zeta_out_of_domain_exits_2(capsys):
     assert main(["zeta", "--s", "1"]) == 2
+
+
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_zeta_non_finite_exits_2(s, capsys):
+    assert main(["zeta", "--s", s]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_zeta_huge_s_is_one(capsys):
+    assert main(["zeta", "--s", "1e308"]) == 0
+    assert capsys.readouterr().out == "zeta(1e+308) = 1\n"
 
 
 def test_help_exits_zero(capsys):

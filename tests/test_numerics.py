@@ -56,10 +56,6 @@ def test_quadrature_spec_validated():
         QuadratureSpec(relative_tolerance=0.5)
     with pytest.raises(DomainError):
         QuadratureSpec(relative_tolerance=-1e-9)
-    with pytest.raises(DomainError):
-        QuadratureSpec(base_order=2)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_subdivisions=0)
 
 
 def test_integrand_nan_raises():
@@ -68,9 +64,9 @@ def test_integrand_nan_raises():
 
 
 def test_nonconvergence_raises():
-    spec = QuadratureSpec(relative_tolerance=1e-9, max_subdivisions=1, base_order=4)
-    with pytest.raises(ConvergenceError):
-        integrate_1d(lambda x: math.sin(57.0 * x) + 2.0, Interval(0.0, 10.0), spec)
+    # an interior inverse-square-root singularity exhausts the 40 splits
+    with pytest.raises(ConvergenceError, match="within 40 subdivisions"):
+        integrate_1d(lambda x: abs(x - 1.0 / 3.0) ** -0.5, Interval(0.0, 1.0))
 
 
 def test_quadrature_linearity():
@@ -86,16 +82,13 @@ def test_quadrature_linearity():
 
 def test_polynomial_exactness_up_to_rule_degree():
     rng = np.random.default_rng(7)
-    order = 4
-    coeffs = rng.uniform(-2.0, 2.0, size=2 * order)  # degree 2*order - 1
-    lo, hi = -1.0, 2.0
+    coeffs = rng.uniform(-2.0, 2.0, size=32)  # degree 31 = 2 * 16 - 1
+    lo, hi = -1.0, 1.0
     exact = sum(
         c / (k + 1) * (hi ** (k + 1) - lo ** (k + 1)) for k, c in enumerate(coeffs)
     )
     res = integrate_1d(
-        lambda x: sum(c * x ** k for k, c in enumerate(coeffs)),
-        Interval(lo, hi),
-        QuadratureSpec(base_order=order),
+        lambda x: sum(c * x ** k for k, c in enumerate(coeffs)), Interval(lo, hi)
     )
     np.testing.assert_allclose(res.value, exact, rtol=1e-13)
 
@@ -151,8 +144,8 @@ def _bose(t):
     (_bose, lambda f: integrate_1d(f, Interval(0.0, math.inf, decay_rate=2.0 * math.pi))),
     (lambda x, y: math.exp(-x * x - y * y),
      lambda f: integrate_nd(f, [Interval(-3.0, 3.0)] * 2)),
-    (lambda x, y, z: math.exp(x + y + z),
-     lambda f: integrate_nd(f, [Interval(0.0, 2.0)] * 3, QuadratureSpec(base_order=4))),
+    (lambda x, y, z: math.exp(-x * x - y * y - z * z),
+     lambda f: integrate_nd(f, [Interval(-3.0, 3.0)] * 3)),
 ])
 def test_terms_used_counts_every_evaluation(f, integrate):
     counted, calls = _counted(f)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta as scipy_zeta
@@ -40,6 +41,16 @@ def test_zeta_domain():
         riemann_zeta(1.0)
     with pytest.raises(DomainError):
         riemann_zeta(0.5)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            riemann_zeta(s)
+
+
+def test_zeta_against_mpmath_up_to_huge_s():
+    # the Bernoulli corrections used to reach inf * 0 = nan from s ~ 1e62 on
+    for s in np.logspace(math.log10(2.0), 300.0, 400).tolist():
+        assert riemann_zeta(s) == pytest.approx(float(mpmath.zeta(s)), abs=1e-14)
+    assert riemann_zeta(1e308) == 1.0
 
 
 def test_image_sum_converges_to_closed_form():
@@ -150,10 +161,13 @@ def test_compare_schemes_halving_separation():
         compare_schemes(0.0)
 
 
-def test_scheme_failure_carries_identity():
-    strangled = QuadratureSpec(relative_tolerance=1e-9, max_subdivisions=1, base_order=4)
+def test_scheme_failure_carries_identity(monkeypatch):
+    def exhausted(f, iv, spec):
+        raise ConvergenceError("quadrature did not reach relative tolerance")
+
+    monkeypatch.setattr(regularization, "integrate_1d", exhausted)
     with pytest.raises(ConvergenceError, match="abel-plana"):
-        compare_schemes(1.0, quad=strangled)
+        compare_schemes(1.0)
 
 
 class _TwoArgumentError(Exception):
