@@ -29,7 +29,7 @@ from .errors import (
     RegimeWarning,
 )
 from .figures import FigureSpec, figure_series, write_csv, write_json
-from .numerics import QuadratureSpec
+from .numerics import QuadratureSpec, relative_discrepancy
 from .regularization import DEFAULT_IMAGE_TERMS, compare_schemes, riemann_zeta
 from .units import UnitKind, UnitSystem
 from .weakfield import (
@@ -102,11 +102,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         print(f"pressure = {_fmt(value)}{_unit_label(units, 'pressure')}")
     else:
         tensor = brown_maclay_tensor(cfg, flip_transverse_y=args.flip_transverse_y)
+        # converted before the first line is printed, so an underflow leaves no partial output
+        rows = [[units.energy_like_to_output(v) for v in row] for row in tensor.components]
+        trace = units.energy_like_to_output(tensor.trace())
         label = _unit_label(units, "energy-density")
         print(f"vacuum stress tensor T^(mu nu){', ' + label.strip() if label else ''}:")
-        for row in tensor.components:
-            print("  " + "  ".join(f"{units.energy_like_to_output(v):>22.15g}" for v in row))
-        print(f"trace (eta_mn T^mn) = {_fmt(tensor.trace())}")
+        for row in rows:
+            print("  " + "  ".join(f"{v:>22.15g}" for v in row))
+        print(f"trace (eta_mn T^mn) = {_fmt(trace)}")
     return EXIT_OK
 
 
@@ -125,8 +128,7 @@ def _cmd_gravity(args: argparse.Namespace) -> int:
         if args.method == "quadrature":
             quad = delta_energy_quadrature(app, fld, QuadratureSpec(args.tolerance))
             delta_e = quad.value
-            scale = max(abs(closed), abs(quad.value))
-            discrepancy = abs(quad.value - closed) / scale if scale > 0 else 0.0
+            discrepancy = relative_discrepancy([closed, quad.value])
         else:
             delta_e = closed
     # every value is computed before the first line is printed, so a result

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import product, starmap
 from typing import Callable, Sequence
 
-from .errors import ConvergenceError, DivergentSeriesError, DomainError
+from .errors import ConvergenceError, DivergentSeriesError, DomainError, check_finite
 
 __all__ = [
     "Interval",
@@ -34,6 +34,7 @@ __all__ = [
     "central_diff",
     "default_step",
     "tail_bounded_power_sum",
+    "relative_discrepancy",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -100,6 +101,11 @@ class SeriesResult:
     - Abel-Plana at even exponents: 0, the value being exactly zero; 1.
     - the zeta closed form in ``compare_schemes``: 0; the 50 terms of the
       Euler-Maclaurin sum behind ``riemann_zeta``.
+
+    Results combine only through :meth:`scaled` and ``+``: a constant
+    factor c gives (c value, |c| bound, terms), and a sum adds values,
+    bounds and terms. A result is always finite: a value or bound that
+    leaves the double range raises :class:`DomainError` on construction.
     """
 
     value: float
@@ -107,10 +113,20 @@ class SeriesResult:
     terms_used: int
 
     def __post_init__(self) -> None:
+        check_finite(self.value, "result value")
+        check_finite(self.error_bound, "error bound")
         if self.error_bound < 0:
             raise DomainError("error_bound must be non-negative")
         if self.terms_used < 1:
             raise DomainError("terms_used must be a positive integer")
+
+    def scaled(self, c: float) -> SeriesResult:
+        """This result times the exact constant ``c``."""
+        return SeriesResult(c * self.value, abs(c) * self.error_bound, self.terms_used)
+
+    def __add__(self, other: SeriesResult) -> SeriesResult:
+        return SeriesResult(self.value + other.value, self.error_bound + other.error_bound,
+                            self.terms_used + other.terms_used)
 
 
 @lru_cache(maxsize=None)
@@ -139,10 +155,12 @@ def _box_sums(f, box, nodes, weights) -> tuple[float, float]:
     for w, y in zip(weights, starmap(f, product(*axes))):
         total += w * y
         gross += w * abs(y)
-    # a NaN or infinite value anywhere leaves the sum of |f| non-finite
+    # a NaN or infinite value anywhere, or a box volume or integral past the
+    # double range, leaves the scaled sum of |f| non-finite
+    gross *= scale
     if not math.isfinite(gross):
-        raise DomainError(f"integrand is not finite on the box {box}")
-    return scale * total, scale * gross
+        raise DomainError(f"integral is not finite on the box {box}")
+    return scale * total, gross
 
 
 @dataclass(order=True)
@@ -301,3 +319,11 @@ def tail_bounded_power_sum(p: float, scale: float, n_terms: int) -> SeriesResult
     value = scale * math.fsum(n ** -p for n in range(1, n_terms + 1))
     bound = abs(scale) / ((p - 1.0) * n_terms ** (p - 1.0))
     return SeriesResult(value, bound, n_terms)
+
+
+def relative_discrepancy(values: Sequence[float]) -> float:
+    """Largest pairwise ``|a - b|`` over ``values``, relative to the largest
+    magnitude among them; 0 when every value is zero."""
+    scale = max(abs(v) for v in values)
+    spread = max(abs(a - b) for a in values for b in values)
+    return spread / scale if scale > 0 else 0.0

@@ -20,7 +20,14 @@ from enum import Enum
 
 from .cavity import check_geometry
 from .errors import CasimirError, DomainError
-from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_1d, tail_bounded_power_sum
+from .numerics import (
+    Interval,
+    QuadratureSpec,
+    SeriesResult,
+    integrate_1d,
+    relative_discrepancy,
+    tail_bounded_power_sum,
+)
 
 __all__ = [
     "SchemeKind",
@@ -82,9 +89,7 @@ def energy_density_image_sum(L: float, n_terms: int = DEFAULT_IMAGE_TERMS) -> Se
     check_geometry(L)
     if n_terms > MAX_IMAGE_TERMS:
         raise DomainError(f"n_terms must be at most {MAX_IMAGE_TERMS}, got {n_terms}")
-    prefactor = 1.0 / (16.0 * math.pi ** 2 * L ** 4)
-    partial = tail_bounded_power_sum(4.0, prefactor, n_terms)
-    return SeriesResult(-partial.value, partial.error_bound, partial.terms_used)
+    return tail_bounded_power_sum(4.0, -1.0 / (16.0 * math.pi ** 2 * L ** 4), n_terms)
 
 
 def abel_plana_regularized_power_sum(
@@ -113,9 +118,7 @@ def abel_plana_regularized_power_sum(
         return t ** p / math.expm1(w)
 
     integral = integrate_1d(branch_cut, Interval(0.0, math.inf, decay_rate=2.0 * math.pi), quad)
-    return SeriesResult(
-        -2.0 * sign * integral.value, 2.0 * integral.error_bound, integral.terms_used
-    )
+    return integral.scaled(-2.0 * sign)
 
 
 def energy_per_area_abel_plana(
@@ -127,27 +130,7 @@ def energy_per_area_abel_plana(
     -pi^2/(12 L^3), giving -pi^2/(1440 L^3).
     """
     check_geometry(L)
-    mode_sum = abel_plana_regularized_power_sum(3, quad)
-    prefactor = -(math.pi ** 2) / (12.0 * L ** 3)
-    return SeriesResult(
-        prefactor * mode_sum.value, abs(prefactor) * mode_sum.error_bound, mode_sum.terms_used
-    )
-
-
-def _scheme_energy_per_area(
-    kind: SchemeKind, L: float, n_terms: int, quad: QuadratureSpec
-) -> SeriesResult:
-    """Scalar energy per unit area at separation L under one regulator.
-
-    The image-sum route converts the energy density through E = eps * L.
-    """
-    if kind is SchemeKind.IMAGE_SUM:
-        density = energy_density_image_sum(L, n_terms)
-        return SeriesResult(density.value * L, density.error_bound * L, density.terms_used)
-    if kind is SchemeKind.ABEL_PLANA:
-        return energy_per_area_abel_plana(L, quad)
-    closed = -riemann_zeta(4.0) / (16.0 * math.pi ** 2 * L ** 3)
-    return SeriesResult(closed, 0.0, _ZETA_TERMS)
+    return abel_plana_regularized_power_sum(3, quad).scaled(-(math.pi ** 2) / (12.0 * L ** 3))
 
 
 @dataclass(frozen=True)
@@ -171,13 +154,17 @@ def compare_schemes(
     with the scheme that produced them, any other exception unchanged.
     """
     check_geometry(L)
+    routes = {
+        # the image sum gives an energy density; E/A = eps * L
+        SchemeKind.IMAGE_SUM: lambda: energy_density_image_sum(L, n_terms).scaled(L),
+        SchemeKind.ABEL_PLANA: lambda: energy_per_area_abel_plana(L, quad),
+        SchemeKind.ZETA_CLOSED_FORM: lambda: SeriesResult(
+            -riemann_zeta(4.0) / (16.0 * math.pi ** 2 * L ** 3), 0.0, _ZETA_TERMS),
+    }
     results: dict[SchemeKind, SeriesResult] = {}
     for kind in SchemeKind:
         try:
-            results[kind] = _scheme_energy_per_area(kind, L, n_terms, quad)
+            results[kind] = routes[kind]()
         except CasimirError as exc:
             raise type(exc)(f"scheme {kind.value}: {exc}") from exc
-    values = [r.value for r in results.values()]
-    scale = max(abs(v) for v in values)
-    spread = max(abs(a - b) for a in values for b in values)
-    return SchemeComparison(results, spread / scale if scale > 0 else 0.0)
+    return SchemeComparison(results, relative_discrepancy([r.value for r in results.values()]))

@@ -205,14 +205,8 @@ def delta_energy_quadrature(
         lambda xi, eta: 0.5 * g * (xi * ca + eta * sa) * (-a), [normal, transverse], spec
     )
 
-    front1 = 6.0 * e_c / L
-    front23 = -2.0 * e_c / L
-    value = front1 * term1.value + front23 * (term2.value + term3.value)
-    bound = abs(front1) * term1.error_bound + abs(front23) * (
-        term2.error_bound + term3.error_bound
-    )
-    return SeriesResult(check_finite(value, "Delta E_g"), bound,
-                        term1.terms_used + term2.terms_used + term3.terms_used)
+    # terms 2 and 3 share their front factor, so they are summed before scaling
+    return term1.scaled(6.0 * e_c / L) + (term2 + term3).scaled(-2.0 * e_c / L)
 
 
 def delta_force_per_area(field: WeakField, cfg: CavityConfig) -> float:

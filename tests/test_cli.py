@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from casimirgrav.cli import main
+from casimirgrav.units import HBAR_C
 
 
 def _value_after_equals(line):
@@ -40,6 +41,30 @@ def test_compute_stress_tensor(capsys):
     numbers = [float(tok) for tok in re.findall(r"-?\d+\.\d+(?:e[+-]?\d+)?", out)]
     assert -(math.pi ** 2) / 240.0 in [pytest.approx(n, rel=1e-12) for n in numbers]
     assert "trace" in out and _value_after_equals(out.splitlines()[-1]) == 0.0
+
+
+def test_stress_tensor_trace_in_output_units(capsys):
+    argv = ["compute", "stress-tensor", "--L", "1e-6", "--flip-transverse-y"]
+    traces = []
+    for units in ("natural", "si"):
+        assert main(argv + ["--units", units]) == 0
+        traces.append(_value_after_equals(capsys.readouterr().out.splitlines()[-1]))
+    natural, si = traces
+    assert si == pytest.approx(-8.66750514965169e-4, rel=1e-13)
+    assert si == pytest.approx(natural * HBAR_C, rel=1e-13)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "energy-density", "--L", "1e75", "--units", "si"],
+    ["compute", "pressure", "--L", "1e75", "--units", "si"],
+    ["compute", "stress-tensor", "--L", "1e75", "--units", "si"],
+    ["gravity", "--L", "1e-6", "--a", "1e-4", "--xi0", "1e-5", "--g", "1e-300", "--units", "si"],
+])
+def test_si_conversion_underflow_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "underflows" in captured.err
+    assert captured.out == ""
 
 
 def test_compute_invalid_separation_exits_2(capsys):

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from casimirgrav import numerics
 from casimirgrav.errors import ConvergenceError, DivergentSeriesError, DomainError
 from casimirgrav.numerics import (
     Interval,
     QuadratureSpec,
+    SeriesResult,
     central_diff,
     default_step,
     integrate_1d,
     integrate_nd,
+    relative_discrepancy,
     tail_bounded_power_sum,
 )
 from casimirgrav.weakfield import PlateApparatus, WeakField, delta_energy_quadrature
@@ -174,6 +177,61 @@ def test_delta_energy_quadrature_evaluations():
 ])
 def test_integrate_nd_closed_forms(f, box, exact):
     assert integrate_nd(f, box).value == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda: delta_energy_quadrature(PlateApparatus(1e200, 0.1, 0.5), WeakField(1.0)),
+    lambda: integrate_nd(lambda x, y: x, [Interval(-1e200, 1e200)] * 2),
+    lambda: integrate_nd(lambda x, y: 1.0, [Interval(-1e155, 1e155)] * 2),
+])
+def test_integral_past_double_range_raises_before_splitting(integrate, monkeypatch):
+    # the box volume overflows although every integrand value is finite
+    boxes = []
+    box_sums = numerics._box_sums
+
+    def spy(f, box, *rule):
+        boxes.append(box)
+        return box_sums(f, box, *rule)
+
+    monkeypatch.setattr(numerics, "_box_sums", spy)
+    with pytest.raises(DomainError, match="not finite on the box"):
+        integrate()
+    assert len(boxes) == 1  # the first single-box estimate; nothing refined or split
+
+
+def test_series_result_scaled():
+    res = SeriesResult(2.0, 0.5, 7)
+    assert res.scaled(-3.0) == SeriesResult(-6.0, 1.5, 7)
+    assert res.scaled(0.0) == SeriesResult(0.0, 0.0, 7)
+    assert res.scaled(1.0) == res
+
+
+def test_series_result_add():
+    total = SeriesResult(1.0, 0.25, 3) + SeriesResult(-4.0, 0.5, 5)
+    assert total == SeriesResult(-3.0, 0.75, 8)
+
+
+@pytest.mark.parametrize("value, bound", [
+    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.inf), (1.0, math.nan),
+])
+def test_series_result_must_be_finite(value, bound):
+    with pytest.raises(DomainError):
+        SeriesResult(value, bound, 1)
+
+
+def test_series_result_combination_past_double_range_raises():
+    with pytest.raises(DomainError):
+        SeriesResult(1e300, 1.0, 1).scaled(1e10)
+    with pytest.raises(DomainError):
+        SeriesResult(1.0, 1e300, 1).scaled(-1e10)
+    with pytest.raises(DomainError):
+        SeriesResult(1.7e308, 0.0, 1) + SeriesResult(1.7e308, 0.0, 1)
+
+
+def test_relative_discrepancy():
+    assert relative_discrepancy([2.0, -1.0]) == 1.5
+    assert relative_discrepancy([4.0, 5.0, 3.0]) == 0.4
+    assert relative_discrepancy([0.0, -0.0, 0.0]) == 0.0
 
 
 def test_central_diff_quadratic_exact():

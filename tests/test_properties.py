@@ -8,13 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from casimirgrav.cavity import L_MAX, L_MIN, CavityConfig
-from casimirgrav.errors import CasimirError
+from casimirgrav.errors import CasimirError, DomainError, GeometryError
 from casimirgrav.figures import FigureSpec, figure_series
-from casimirgrav.regularization import riemann_zeta
+from casimirgrav.regularization import compare_schemes, riemann_zeta
 from casimirgrav.weakfield import (
     PlateApparatus,
     WeakField,
     delta_energy_closed,
+    delta_energy_quadrature,
     delta_force_per_area,
     fermi_force_per_area,
     fractional_correction,
@@ -60,6 +61,34 @@ def test_energy_shift_and_force_chain_are_finite_or_rejected(a, L, xi0, alpha, g
     for force in (delta_force_per_area, isotropic_force_per_area, fermi_force_per_area,
                   fractional_correction):
         _finite_or_typed_error(lambda: force(field, cfg))
+
+
+def _assert_bounded_and_finite(res):
+    assert math.isfinite(res.value) and math.isfinite(res.error_bound), res
+
+
+# Only the typed input errors may escape: ConvergenceError or an untyped
+# exception on finite, in-domain input fails these tests.
+@_SETTINGS
+@given(positive, separation, finite, finite, non_negative, st.sampled_from([1, 2]))
+def test_energy_shift_quadrature_is_finite_or_rejected(a, L, xi0, alpha, g, pol):
+    try:
+        res = delta_energy_quadrature(PlateApparatus(a, L, xi0, alpha, pol), WeakField(g))
+    except (DomainError, GeometryError):
+        return
+    _assert_bounded_and_finite(res)
+
+
+@_SETTINGS
+@given(separation, st.integers(-10, 10**4))
+def test_scheme_comparison_is_finite_or_rejected(L, n_terms):
+    try:
+        report = compare_schemes(L, n_terms)
+    except (DomainError, GeometryError):
+        return
+    for res in report.energy_per_area.values():
+        _assert_bounded_and_finite(res)
+    assert math.isfinite(report.max_relative_discrepancy)
 
 
 def _sweep_is_finite_or_rejected(spec):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from casimirgrav.cavity import CavityConfig, pressure
+from casimirgrav.errors import DomainError
 from casimirgrav.units import C_LIGHT, HBAR, HBAR_C, UnitKind, UnitSystem
 
 # independent constant lookup: pi^2 hbar c / 240 * 1e24, hbar c = 3.161527e-26 J m
@@ -37,3 +38,13 @@ def test_gravity_acceleration_conversion():
     e_c = -(math.pi ** 2) / (720.0 * (1e-6) ** 3)
     fermi_si = si.energy_like_to_output(-g_nat * e_c)
     assert 0.0 < fermi_si < 1e-24
+
+
+def test_si_conversion_that_underflows_raises():
+    si = UnitSystem(UnitKind.SI)
+    with pytest.raises(DomainError, match="underflows"):
+        si.energy_like_to_output(-7e-303)  # energy density at L = 1e75
+    with pytest.raises(DomainError, match="underflows"):
+        si.gravity_to_natural(1e-300)  # g / c^2 is subnormal
+    assert si.energy_like_to_output(0.0) == 0.0
+    assert si.gravity_to_natural(0.0) == 0.0
