@@ -1,6 +1,7 @@
-"""Exception hierarchy, advisory warnings and the finite-result check."""
+"""Exception hierarchy, advisory warnings and the range checks on results."""
 
 import math
+import sys
 
 __all__ = [
     "CasimirError",
@@ -11,6 +12,7 @@ __all__ = [
     "LightConeError",
     "RegimeWarning",
     "check_finite",
+    "check_normal",
 ]
 
 
@@ -47,4 +49,15 @@ def check_finite(value: float, what: str) -> float:
     ``what`` outside the double range (an inf, or the NaN of inf - inf or inf * 0)."""
     if not math.isfinite(value):
         raise DomainError(f"{what} overflows the double range for these inputs")
+    return value
+
+
+def check_normal(value: float, what: str, *factors: float) -> float:
+    """``value`` if it is a finite normal double, or a zero that a zero among
+    ``factors`` (the inputs that make the exact result zero) explains; else
+    :class:`DomainError`. A subnormal has lost digits to underflow, and a zero
+    from non-zero ``factors`` has lost them all."""
+    check_finite(value, what)
+    if abs(value) < sys.float_info.min and (value != 0 or all(factors)):
+        raise DomainError(f"{what} underflows the double range for these inputs")
     return value

@@ -6,16 +6,17 @@ length: Delta E [1/m], E/A [1/m^3], energy density and pressure [1/m^4].
 Multiplying by hbar*c (J m) restores joule-based SI values with the same
 powers of meters; a gravitational acceleration converts through g/c^2. A
 conversion that turns a non-zero value into a subnormal or zero raises
-:class:`DomainError`.
+:class:`DomainError` (through :func:`errors.check_normal`).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import check_normal
 
 __all__ = ["HBAR", "C_LIGHT", "HBAR_C", "UnitKind", "UnitSystem"]
 
@@ -23,6 +24,10 @@ __all__ = ["HBAR", "C_LIGHT", "HBAR_C", "UnitKind", "UnitSystem"]
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
 HBAR_C = HBAR * C_LIGHT  # J m
+
+# 2^_RESCALE lifts every natural value whose SI value is normal clear of
+# underflow in value * hbar
+_RESCALE = 128
 
 
 class UnitKind(Enum):
@@ -46,18 +51,19 @@ class UnitSystem:
 
     def energy_like_to_output(self, value_natural: float) -> float:
         """Convert any (1/length)^k quantity to the output system."""
-        if self.is_si:
-            return _check_normal(value_natural, value_natural * HBAR * C_LIGHT)
-        return value_natural
+        if not self.is_si:
+            return value_natural
+        partial = value_natural * HBAR
+        if abs(partial) < sys.float_info.min:
+            # a subnormal value * hbar has lost digits; rescaling by a power of
+            # two is exact, so this rounds as the normal range does
+            si = math.ldexp(math.ldexp(value_natural, _RESCALE) * HBAR * C_LIGHT, -_RESCALE)
+        else:
+            si = partial * C_LIGHT
+        return check_normal(si, "SI value", value_natural)
 
     def gravity_to_natural(self, g_input: float) -> float:
         """SI input is an acceleration (m/s^2); natural is inverse length."""
-        return _check_normal(g_input, g_input / C_LIGHT ** 2) if self.is_si else g_input
-
-
-def _check_normal(value: float, converted: float) -> float:
-    """``converted`` unless it lost the non-zero ``value`` to underflow (a
-    subnormal or zero result); then :class:`DomainError`."""
-    if value != 0 and abs(converted) < sys.float_info.min:
-        raise DomainError(f"{value:.15g} underflows the double range in SI units")
-    return converted
+        if not self.is_si:
+            return g_input
+        return check_normal(g_input / C_LIGHT ** 2, "g in natural units", g_input)

@@ -12,6 +12,10 @@ connected by the gauge vector zeta with symmetrized gradient h^F - h^I.
 The shift evaluates to  Delta E = -A g E_C z0  with z0 = xi0 cos(alpha),
 and the force corrections follow:  Delta F / A = g E_C,
 F^I/A = -2 g E_C, F^F/A = F^I/A + Delta F/A = -g E_C.
+
+The closed forms raise :class:`DomainError` when their result leaves the
+normal double range: an overflow, a subnormal, or a zero although neither g
+nor xi0 is zero.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .cavity import CavityConfig, SpacetimePoint, check_geometry, energy_per_area, pressure
-from .errors import GeometryError, RegimeWarning, check_finite
+from .errors import GeometryError, RegimeWarning, check_finite, check_normal
 from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_nd
 
 if TYPE_CHECKING:
@@ -166,7 +170,8 @@ def delta_energy_closed(app: PlateApparatus, field: WeakField) -> float:
     """Gravitational energy shift Delta E = -A g E_C xi0 cos(alpha)."""
     _warn_linearized_regime(app, field)
     e_c = energy_per_area(app.cavity())
-    return check_finite(-app.area * field.g * e_c * app.xi0 * math.cos(app.alpha), "Delta E_g")
+    return check_normal(-app.area * field.g * e_c * app.xi0 * math.cos(app.alpha), "Delta E_g",
+                        field.g, app.xi0)
 
 
 def delta_energy_quadrature(
@@ -211,7 +216,7 @@ def delta_energy_quadrature(
 
 def delta_force_per_area(field: WeakField, cfg: CavityConfig) -> float:
     """Change of the force per unit area, Delta F / A = g E_C."""
-    return check_finite(field.g * energy_per_area(cfg), "Delta F / A")
+    return check_normal(field.g * energy_per_area(cfg), "Delta F / A", field.g)
 
 
 def isotropic_force_per_area(field: WeakField, cfg: CavityConfig) -> float:
@@ -227,4 +232,5 @@ def fermi_force_per_area(field: WeakField, cfg: CavityConfig) -> float:
 
 def fractional_correction(field: WeakField, cfg: CavityConfig) -> float:
     """Correction relative to the flat pressure: g E_C / P = g L / 3."""
-    return check_finite(delta_force_per_area(field, cfg) / pressure(cfg), "Delta F / F_flat")
+    return check_normal(delta_force_per_area(field, cfg) / pressure(cfg), "Delta F / F_flat",
+                        field.g)

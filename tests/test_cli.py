@@ -67,6 +67,35 @@ def test_si_conversion_underflow_exits_2(argv, capsys):
     assert captured.out == ""
 
 
+def test_si_conversion_rescales_a_subnormal_intermediate(capsys):
+    # T^00 * hbar is subnormal at L = 1e70, but T^00 * hbar * c is normal
+    assert main(["compute", "stress-tensor", "--L", "1e70", "--units", "si"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[0] == "-4.33375257482584e-308"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5", "--g", "1e-320"],
+    ["gravity", "--L", "1e70", "--a", "1e71", "--xi0", "1", "--g", "1e-300"],
+    ["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5", "--g", "1e-320",
+     "--method", "quadrature"],
+])
+def test_natural_unit_underflow_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "underflows" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("zero_flag", [["--g", "0"], ["--xi0", "0"]])
+def test_exact_zero_shift_is_printed(zero_flag, capsys):
+    argv = ["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5", "--g", "0.01"]
+    assert main(argv + zero_flag) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _value_after_equals(lines[0]) == 0.0
+    forces = [_value_after_equals(ln) for ln in lines[1:]]
+    assert all(v == 0.0 for v in forces) == (zero_flag[0] == "--g")
+
+
 def test_compute_invalid_separation_exits_2(capsys):
     assert main(["compute", "pressure", "--L", "0"]) == 2
     assert "error" in capsys.readouterr().err
@@ -101,23 +130,42 @@ def test_separation_outside_double_range_exits_2(argv, tmp_path, capsys):
     assert not out_file.exists()
 
 
-def test_math_only_commands_load_no_numpy():
-    code = "\n".join([
-        "import contextlib, io, sys",
-        "import casimirgrav.cli as cli",
-        "assert 'numpy' not in sys.modules, 'import'",
-        "for argv in (['zeta', '--s', '4'], ['compute', 'pressure', '--L', '1'],",
-        "             ['gravity', '--L', '0.1', '--a', '1', '--xi0', '0.5']):",
-        "    with contextlib.redirect_stdout(io.StringIO()):",
-        "        assert cli.main(argv) == 0, argv",
-        "    assert 'numpy' not in sys.modules, argv",
-    ])
+def _run_without_numpy(lines):
+    """Run ``lines`` in a fresh interpreter on this checkout's sources; each
+    line may assert that numpy is not in ``sys.modules``."""
+    code = "\n".join(["import contextlib, io, sys", *lines])
     src = Path(__file__).resolve().parents[1] / "src"
     path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_math_only_commands_load_no_numpy():
+    _run_without_numpy([
+        "import casimirgrav.cli as cli",
+        "assert 'numpy' not in sys.modules, 'import'",
+        "for argv in (['zeta', '--s', '4'], ['compute', 'pressure', '--L', '1'],",
+        "             ['gravity', '--L', '0.1', '--a', '1', '--xi0', '0.5'],",
+        "             ['regularize', '--L', '1'],",
+        "             ['gravity', '--L', '0.1', '--a', '1', '--xi0', '0.5', '--alpha', '0.3',",
+        "              '--g', '0.01', '--method', 'quadrature']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert cli.main(argv) == 0, argv",
+        "    assert 'numpy' not in sys.modules, argv",
+    ])
+
+
+def test_quadrature_library_calls_load_no_numpy():
+    _run_without_numpy([
+        "from casimirgrav import PlateApparatus, WeakField, compare_schemes,"
+        " delta_energy_quadrature",
+        "compare_schemes(1.0)",
+        "assert 'numpy' not in sys.modules, 'compare_schemes'",
+        "delta_energy_quadrature(PlateApparatus(1.0, 0.1, 0.5, 0.3), WeakField(0.01))",
+        "assert 'numpy' not in sys.modules, 'delta_energy_quadrature'",
+    ])
 
 
 def test_compute_unknown_quantity_exits_2(capsys):

@@ -1,5 +1,7 @@
 import math
+from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -94,6 +96,40 @@ def test_polynomial_exactness_up_to_rule_degree():
         lambda x: sum(c * x ** k for k, c in enumerate(coeffs)), Interval(lo, hi)
     )
     np.testing.assert_allclose(res.value, exact, rtol=1e-13)
+
+
+def _legendre_16_root(x):
+    """The root of P_16 next to ``x`` by Newton's method at 40 digits, and its
+    Gauss weight 2 / ((1 - x^2) P_16'(x)^2)."""
+    def slope(x):
+        return 16 * (x * mpmath.legendre(16, x) - mpmath.legendre(15, x)) / (x * x - 1)
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        for _ in range(4):
+            x -= mpmath.legendre(16, x) / slope(x)
+        return x, 2 / ((1 - x * x) * slope(x) ** 2)
+
+
+def test_gauss_legendre_table_is_nearest_doubles():
+    nodes, weights = numerics._gauss_legendre(1)
+    assert len(nodes) == 16 and list(nodes) == sorted(nodes)
+    for x, w in zip(nodes, weights):
+        root, weight = _legendre_16_root(x)
+        assert x == float(root) and w == float(weight), (x, w)
+
+
+def test_tensor_rule_integrates_bivariate_monomials_exactly():
+    nodes, weights = numerics._gauss_legendre(2)
+    with mpmath.workdps(40):
+        powers = [[mpmath.mpf(x) ** j for j in range(32)] for x in nodes]
+        cells = [(mpmath.mpf(w), px, py)
+                 for w, (px, py) in zip(weights, product(powers, repeat=2))]
+        exact = [mpmath.mpf(2) / (j + 1) if j % 2 == 0 else 0 for j in range(32)]
+        for j, k in product(range(32), repeat=2):
+            rule = mpmath.fsum(w * px[j] * py[k] for w, px, py in cells)
+            # only the rounding of the double nodes and weights: 8.5e-17 at worst
+            assert abs(rule - exact[j] * exact[k]) <= 2e-16, (j, k)
 
 
 def test_integrate_nd_volume():

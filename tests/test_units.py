@@ -1,8 +1,10 @@
 import math
+import sys
 
+import mpmath
 import pytest
 
-from casimirgrav.cavity import CavityConfig, pressure
+from casimirgrav.cavity import CavityConfig, energy_density, pressure
 from casimirgrav.errors import DomainError
 from casimirgrav.units import C_LIGHT, HBAR, HBAR_C, UnitKind, UnitSystem
 
@@ -48,3 +50,19 @@ def test_si_conversion_that_underflows_raises():
         si.gravity_to_natural(1e-300)  # g / c^2 is subnormal
     assert si.energy_like_to_output(0.0) == 0.0
     assert si.gravity_to_natural(0.0) == 0.0
+
+
+def test_si_conversion_of_tiny_values_within_one_ulp():
+    # below |value| = 2.1e-274 the intermediate value * hbar is subnormal
+    si = UnitSystem(UnitKind.SI)
+    with mpmath.workdps(40):
+        hbar_c = mpmath.mpf("1.054571817e-34") * mpmath.mpf("2.99792458e8")
+        for i in range(401):
+            L = 10.0 ** (60 + 14 * i / 400)
+            for natural in (energy_density(L), pressure(CavityConfig(L, 2))):
+                exact = float(mpmath.mpf(natural) * hbar_c)
+                if abs(exact) < sys.float_info.min:
+                    with pytest.raises(DomainError, match="underflows"):
+                        si.energy_like_to_output(natural)
+                else:
+                    assert abs(si.energy_like_to_output(natural) - exact) <= math.ulp(exact), L

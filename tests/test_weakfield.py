@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from casimirgrav.cavity import CavityConfig, SpacetimePoint
-from casimirgrav.errors import GeometryError, RegimeWarning
+from casimirgrav.errors import DomainError, GeometryError, RegimeWarning
 from casimirgrav.numerics import QuadratureSpec
 from casimirgrav.weakfield import (
     PlateApparatus,
@@ -197,6 +197,23 @@ def test_force_zero_field():
     assert delta_force_per_area(WeakField(0.0), cfg) == 0.0
     assert isotropic_force_per_area(WeakField(0.0), cfg) == 0.0
     assert fermi_force_per_area(WeakField(0.0), cfg) == 0.0
+
+
+def test_closed_forms_that_underflow_raise():
+    near = CavityConfig(0.1, 2)
+    subnormal = WeakField(1e-320)  # every result is subnormal
+    with pytest.raises(DomainError, match="Delta E_g underflows"):
+        delta_energy_closed(PlateApparatus(1.0, 0.1, 0.5), subnormal)
+    for force in (delta_force_per_area, isotropic_force_per_area, fermi_force_per_area,
+                  fractional_correction):
+        with pytest.raises(DomainError, match="underflows"):
+            force(subnormal, near)
+    # every product rounds to zero although g and xi0 are not zero
+    far = _quiet_apparatus(1e71, 1e70, 1.0)
+    with pytest.raises(DomainError, match="Delta E_g underflows"):
+        delta_energy_closed(far, WeakField(1e-300))
+    with pytest.raises(DomainError, match="Delta F / A underflows"):
+        fractional_correction(WeakField(1e-300), far.cavity())
 
 
 def test_delta_energy_slope_reproduces_force():
