@@ -2,7 +2,9 @@
 
 Each figure sweeps a closed-form observable against plate separation or
 plate area. The sweep ranges are library defaults, recorded as comment
-metadata in the emitted files. All series are produced in natural units.
+metadata in the emitted files. All series are produced in natural units, as
+lists of Python floats: sweeps and writers run without numpy, which loads
+only when :attr:`FigureData.rows` is read.
 """
 
 from __future__ import annotations
@@ -10,13 +12,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .cavity import CavityConfig, check_geometry, energy_density, energy_per_area, pressure
-from .errors import DomainError
+from .errors import DomainError, check_normal
 from .weakfield import WeakField, delta_force_per_area, fermi_force_per_area
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 __all__ = ["FigureSpec", "FigureData", "figure_series", "write_csv", "write_json"]
 
@@ -62,19 +67,46 @@ class FigureSpec:
 
 @dataclass(frozen=True)
 class FigureData:
-    """Column-oriented figure series with provenance metadata lines."""
+    """Column-oriented figure series with provenance metadata lines.
+
+    ``series`` holds one list of Python floats per name in ``columns``, all
+    of one length. :attr:`rows` stacks them into a numpy array on first use;
+    nothing else here loads numpy."""
 
     columns: list[str]
-    rows: np.ndarray
+    series: list[list[float]]
     metadata: list[str] = field(default_factory=list)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The series as one (points, columns) float array, built once on first use."""
+        import numpy as np
+        return np.column_stack(self.series)
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n).tolist()`` to the bit: i * step + lo, numpy's
+    fallback i / (n - 1) * (hi - lo) + lo when the step underflows to zero,
+    and a last point of exactly ``hi``."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        xs = [i / div * delta + lo for i in range(n)]
+    else:
+        xs = [i * step + lo for i in range(n)]
+    xs[-1] = hi
+    return xs
 
 
 def figure_series(spec: FigureSpec) -> FigureData:
-    """Evaluate the sweep for ``spec``; rows are (points, n_columns). A separation
-    sweep builds one :class:`CavityConfig` per point from a Python float and
-    derives every column from it, so each cell is the scalar closed form.
-    Raises :class:`DomainError` if any cell leaves the double range."""
-    import numpy as np
+    """Evaluate the sweep for ``spec`` as one list of Python floats per column,
+    without numpy. A separation sweep builds one :class:`CavityConfig` per
+    point from a Python float and derives every column from it, so each cell
+    is the scalar closed form; figures 4 and 5 multiply the force change per
+    area by each plate area. Raises :class:`DomainError` if any cell leaves the
+    double range, or if a figure 4 or 5 product falls below the normal range
+    while g is not zero."""
     field_g = WeakField(spec.g)
     pol = spec.polarizations
     meta = [
@@ -83,39 +115,58 @@ def figure_series(spec: FigureSpec) -> FigureData:
         f"g={spec.g:g} polarizations={pol}",
     ]
 
+    products: list[list[float]] = []  # the figure 4 and 5 columns
     if spec.fig_id == 5:
-        x = np.linspace(spec.A_min, spec.A_max, spec.points)
+        x = _linspace(spec.A_min, spec.A_max, spec.points)
         slopes = [delta_force_per_area(field_g, CavityConfig(L, pol)) for L in spec.L_list]
         names = ["A"] + [f"delta_force[L={L:g}]" for L in spec.L_list]
         sweep = (f"A_min={spec.A_min:g} A_max={spec.A_max:g} points={spec.points} "
                  f"L_list={','.join(f'{l:g}' for l in spec.L_list)}")
-        with np.errstate(over="ignore"):  # an overflow fails the finite check below
-            cols = [x * s for s in slopes]
+        cols = products = [[area * s for area in x] for s in slopes]
     else:
-        x = np.linspace(spec.L_min, spec.L_max, spec.points)
+        x = _linspace(spec.L_min, spec.L_max, spec.points)
         sweep = f"L_min={spec.L_min:g} L_max={spec.L_max:g} points={spec.points}"
-        points = x.tolist()
-        configs = (CavityConfig(l, pol) for l in points)
+        configs = (CavityConfig(l, pol) for l in x)
         if spec.fig_id == 1:  # the energy density is per polarization: no configuration
-            names, cols = ["L", "energy_density"], [[energy_density(l) for l in points]]
+            names, cols = ["L", "energy_density"], [[energy_density(l) for l in x]]
         elif spec.fig_id == 2:
             names, cols = ["L", "pressure"], [[pressure(c) for c in configs]]
         elif spec.fig_id == 3:
             names, cols = ["L", "energy_per_area"], [[energy_per_area(c) for c in configs]]
         elif spec.fig_id == 4:
             names = ["L"] + [f"delta_force[A={area:g}]" for area in spec.A_list]
-            delta = np.array([delta_force_per_area(field_g, c) for c in configs])
-            with np.errstate(over="ignore"):
-                cols = [area * delta for area in spec.A_list]
+            delta = [delta_force_per_area(field_g, c) for c in configs]
+            cols = products = [[area * d for d in delta] for area in spec.A_list]
             sweep += f" A_list={','.join(f'{a:g}' for a in spec.A_list)}"
         else:
             names = ["L", "delta_force_per_area", "fermi_force_per_area"]
-            cols = [np.array([(delta_force_per_area(field_g, c), fermi_force_per_area(field_g, c))
-                              for c in configs])]
-    rows = np.column_stack([x, *cols])
-    if not np.isfinite(rows).all():
-        raise DomainError(f"figure {spec.fig_id} overflows the double range for these inputs")
-    return FigureData(names, rows, meta + [sweep])
+            cols = [[], []]
+            for c in configs:
+                cols[0].append(delta_force_per_area(field_g, c))
+                cols[1].append(fermi_force_per_area(field_g, c))
+    series = [x, *cols]
+    what = f"figure {spec.fig_id}"
+    # a product that overflows is inf (Python float products do not raise)
+    if not all(all(map(math.isfinite, col)) for col in series):
+        raise DomainError(f"{what} overflows the double range for these inputs")
+    for col in products:
+        check_normal(min(map(abs, col)), what, spec.g)
+    return FigureData(names, series, meta + [sweep])
+
+
+_BLOCK_ROWS = 4096  # rows per format call: one call per cell is slow, one per table is large
+
+
+def _row_blocks(series: list[list], row: str, sep: str = "") -> Iterator[str]:
+    """The rows of ``series``, each rendered by the ``str.format`` template
+    ``row`` and joined by ``sep``, as one string per block of rows."""
+    n, width = len(series[0]), len(series)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        cells = [None] * ((stop - start) * width)
+        for j, col in enumerate(series):
+            cells[j::width] = col[start:stop]
+        yield sep.join([row] * (stop - start)).format(*cells)
 
 
 def write_csv(data: FigureData, path: str) -> None:
@@ -126,7 +177,7 @@ def write_csv(data: FigureData, path: str) -> None:
         for line in data.metadata:
             fh.write(f"# {line}\n")
         fh.write(",".join(data.columns) + "\n")
-        fh.writelines(row.format(*values) for values in data.rows.tolist())
+        fh.writelines(_row_blocks(data.series, row))
 
 
 def _json_number(v: float) -> str:
@@ -139,10 +190,14 @@ def write_json(data: FigureData, path: str) -> None:
     ``json.dump(rows, fh, indent=1)`` lays them out."""
     keys = (json.dumps(c).replace("{", "{{").replace("}", "}}") for c in data.columns)
     row = " {{\n" + ",\n".join(f"  {k}: {{}}" for k in keys) + "\n }}"
+    # '{}' formats a float as its repr; a column with a non-finite cell goes through json
+    series = [col if all(map(math.isfinite, col)) else list(map(_json_number, col))
+              for col in data.series]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[")
         sep = "\n"
-        for values in data.rows.tolist():
-            fh.write(sep + row.format(*map(_json_number, values)))
+        for block in _row_blocks(series, row, ",\n"):
+            fh.write(sep)
+            fh.write(block)
             sep = ",\n"
-        fh.write("\n]\n" if len(data.rows) else "]\n")
+        fh.write("\n]\n" if data.series[0] else "]\n")

@@ -96,6 +96,17 @@ def test_exact_zero_shift_is_printed(zero_flag, capsys):
     assert all(v == 0.0 for v in forces) == (zero_flag[0] == "--g")
 
 
+@pytest.mark.parametrize("zero_flag", [["--xi0", "0"], ["--g", "0"]])
+def test_quadrature_against_an_exact_zero_reports_the_absolute_gap(zero_flag, capsys):
+    argv = ["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5", "--g", "0.3",
+            "--method", "quadrature"]
+    assert main(argv + zero_flag) == 0
+    lines = capsys.readouterr().out.splitlines()
+    quad = _value_after_equals(lines[0])
+    assert lines[1] == f"absolute discrepancy vs closed form (exactly 0) = {abs(quad):.3e}"
+    assert abs(quad) <= 1e-15 and (quad == 0) == (zero_flag[0] == "--g")
+
+
 def test_compute_invalid_separation_exits_2(capsys):
     assert main(["compute", "pressure", "--L", "0"]) == 2
     assert "error" in capsys.readouterr().err
@@ -165,6 +176,24 @@ def test_quadrature_library_calls_load_no_numpy():
         "assert 'numpy' not in sys.modules, 'compare_schemes'",
         "delta_energy_quadrature(PlateApparatus(1.0, 0.1, 0.5, 0.3), WeakField(0.01))",
         "assert 'numpy' not in sys.modules, 'delta_energy_quadrature'",
+    ])
+
+
+def test_figure_exports_load_no_numpy(tmp_path):
+    _run_without_numpy([
+        "import casimirgrav.cli as cli",
+        "from casimirgrav.figures import FigureSpec, figure_series",
+        f"out = {str(tmp_path / 'fig')!r}",
+        "for k in range(1, 7):",
+        "    for fmt in ('csv', 'json'):",
+        "        with contextlib.redirect_stdout(io.StringIO()):",
+        "            argv = ['figure', '--id', str(k), '--format', fmt, '--out', out]",
+        "            assert cli.main(argv) == 0, argv",
+        "        assert 'numpy' not in sys.modules, argv",
+        "    data = figure_series(FigureSpec(k))",
+        "    assert 'numpy' not in sys.modules, k",
+        "data.rows",
+        "assert 'numpy' in sys.modules, 'rows'",
     ])
 
 
@@ -282,6 +311,22 @@ def test_finite_inputs_with_overflowing_results_exit_2(argv, tmp_path, capsys):
     assert captured.out == ""
     assert not re.search(r"\b(inf|nan)\b", captured.err, re.IGNORECASE)
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "--id", "4", "--A-list", "1e-320"],
+    ["figure", "--id", "5", "--Amin", "1e-320", "--Amax", "1e-319"],
+])
+def test_figure_cells_that_underflow_exit_2(argv, tmp_path, capsys):
+    out_file = tmp_path / "fig.csv"
+    assert main(argv + ["--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "underflows" in captured.err
+    assert captured.out == ""
+    assert not out_file.exists()
+    assert main(argv + ["--g", "0", "--out", str(out_file)]) == 0
+    body = [ln.split(",") for ln in out_file.read_text().splitlines() if ln[0] not in "#LA"]
+    assert len(body) == 200 and all(float(v) == 0.0 for row in body for v in row[1:])
 
 
 @pytest.mark.parametrize("points", ["1000001", "100000000000"])

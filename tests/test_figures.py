@@ -1,12 +1,21 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from casimirgrav.cavity import CavityConfig, energy_density, energy_per_area, pressure
 from casimirgrav.errors import DomainError
-from casimirgrav.figures import FigureData, FigureSpec, figure_series, write_csv, write_json
+from casimirgrav.figures import (
+    _BLOCK_ROWS,
+    FigureData,
+    FigureSpec,
+    _linspace,
+    figure_series,
+    write_csv,
+    write_json,
+)
 from casimirgrav.weakfield import WeakField, delta_force_per_area
 
 
@@ -126,11 +135,43 @@ def test_writers_match_reference_rendering(spec, tmp_path):
 
 
 def test_writers_render_non_finite_cells(tmp_path):
-    rows = np.array([[1.0, math.nan, math.inf], [-math.inf, -0.0, 5e-324]])
-    data = FigureData(["x", "y {0}", "z"], rows, ["hand-built"])
+    series = [[1.0, -math.inf], [math.nan, -0.0], [math.inf, 5e-324]]
+    data = FigureData(["x", "y {0}", "z"], series, ["hand-built"])
     write_csv(data, str(tmp_path / "fig.csv"))
     write_json(data, str(tmp_path / "fig.json"))
     assert (tmp_path / "fig.csv").read_text() == _reference_csv(data)
     text = (tmp_path / "fig.json").read_text()
     assert text == _reference_json(data)
     assert '"y {0}": NaN' in text and '"z": Infinity' in text and '"x": -Infinity' in text
+
+
+@pytest.mark.parametrize("points", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                    2 * _BLOCK_ROWS + 1])
+def test_writers_across_block_boundaries(points, tmp_path):
+    hand_built = FigureData(["i", "y"], [[float(i) for i in range(points)],
+                                         [math.nan] * (points - 1) + [math.inf]])
+    for data in (figure_series(FigureSpec(4, points=points)), hand_built):
+        write_csv(data, str(tmp_path / "fig.csv"))
+        write_json(data, str(tmp_path / "fig.json"))
+        assert (tmp_path / "fig.csv").read_text() == _reference_csv(data)
+        assert (tmp_path / "fig.json").read_text() == _reference_json(data)
+
+
+def test_rows_is_stacked_once_on_first_use():
+    data = figure_series(FigureSpec(6, points=9))
+    assert all(type(v) is float for col in data.series for v in col)
+    rows = data.rows
+    assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+    np.testing.assert_array_equal(rows, np.column_stack(data.series))
+    assert data.rows is rows
+
+
+def test_linspace_matches_numpy_bit_for_bit():
+    rng = random.Random(2007)
+    cases = [(5e-324, 1e-323, 10), (0.5, 5.0, 2), (1e-75, 1e75, 2)]
+    for _ in range(500):
+        lo, hi = sorted(10.0 ** rng.uniform(-75, 75) for _ in range(2))
+        cases.append((lo, hi, rng.choice([2, 3, 7, 200, rng.randint(2, 5000)])))
+    for lo, hi, n in cases:
+        expected = np.linspace(lo, hi, n).tolist()
+        assert list(map(float.hex, _linspace(lo, hi, n))) == list(map(float.hex, expected))
