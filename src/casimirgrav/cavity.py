@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import GeometryError, LightConeError
+from .errors import GeometryError, LightConeError, check_finite, check_normal
 
 if TYPE_CHECKING:
     import numpy as np
@@ -34,6 +34,9 @@ METRIC_DIAGONAL = (-1.0, 1.0, 1.0, 1.0)
 # L^4 stays within 1e+-300 here: no closed form (L^-4 ... L^4 times a prefactor
 # in [1e-3, 1]) overflows, underflows to zero or divides by zero.
 L_MIN, L_MAX = 1e-75, 1e75
+
+# |(x - x')^2| at most this fraction of dt^2 + |dx|^2 is on the light cone
+_LIGHT_CONE_REL_TOL = 1e-12
 
 
 def check_geometry(L: float, polarizations: int = 1, a: float | None = None) -> None:
@@ -86,10 +89,16 @@ class StressTensor:
 
 @dataclass(frozen=True)
 class SpacetimePoint:
+    """Event (t, x, y, z) in the cavity rest frame; every coordinate finite."""
+
     t: float = 0.0
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.t, self.x, self.y, self.z))):
+            raise GeometryError(f"spacetime coordinates must be finite, got {self}")
 
 
 def energy_density(L: float) -> float:
@@ -128,23 +137,21 @@ def brown_maclay_tensor(cfg: CavityConfig, flip_transverse_y: bool = False) -> S
     return StressTensor(components)
 
 
-def feynman_propagator(
-    x: SpacetimePoint, x2: SpacetimePoint, light_cone_tol: float = 1e-12
-) -> float:
+def feynman_propagator(x: SpacetimePoint, x2: SpacetimePoint) -> float:
     """Massless flat-space Feynman propagator 1/(4 pi^2 (x - x')^2).
 
-    The squared interval uses the (-,+,+,+) signature. Evaluations with
-    |(x - x')^2| below ``light_cone_tol`` raise :class:`LightConeError`.
+    The squared interval uses the (-,+,+,+) signature. Separations with
+    |(x - x')^2| <= 1e-12 (dt^2 + |dx|^2), coincident and null ones included,
+    raise :class:`LightConeError`, whatever the length unit; a squared interval
+    or value outside the normal double range raises :class:`DomainError`.
     """
-    if light_cone_tol <= 0:
-        raise LightConeError("light_cone_tol must be positive")
     dt = x.t - x2.t
     dx = x.x - x2.x
     dy = x.y - x2.y
     dz = x.z - x2.z
-    s2 = -dt * dt + dx * dx + dy * dy + dz * dz
-    if abs(s2) < light_cone_tol:
+    s2 = check_finite(-dt * dt + dx * dx + dy * dy + dz * dz, "squared interval")
+    if abs(s2) <= _LIGHT_CONE_REL_TOL * (dt * dt + dx * dx + dy * dy + dz * dz):
         raise LightConeError(
             f"propagator singular on the light cone: (x - x')^2 = {s2:.3e}"
         )
-    return 1.0 / (4.0 * math.pi ** 2 * s2)
+    return check_normal(1.0 / (4.0 * math.pi ** 2 * s2), "propagator")

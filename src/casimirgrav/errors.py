@@ -1,6 +1,8 @@
-"""Exception hierarchy, advisory warnings and the range checks on results."""
+"""Exception hierarchy, advisory warnings, the integer check on counts and
+exponents, and the range checks on results."""
 
 import math
+import operator
 import sys
 
 __all__ = [
@@ -11,6 +13,7 @@ __all__ = [
     "DivergentSeriesError",
     "LightConeError",
     "RegimeWarning",
+    "check_integer",
     "check_finite",
     "check_normal",
 ]
@@ -42,6 +45,15 @@ class LightConeError(DomainError):
 
 class RegimeWarning(UserWarning):
     """Advisory: inputs outside the regime the closed forms were derived in."""
+
+
+def check_integer(value, what: str) -> int:
+    """``value`` as an ``int`` if :func:`operator.index` accepts it (an int or a
+    numpy integer), else :class:`DomainError`; a float such as 3.0 is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_finite(value: float, what: str) -> float:

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .cavity import CavityConfig, check_geometry, energy_density, energy_per_area, pressure
-from .errors import DomainError, check_normal
+from .errors import DomainError, check_integer, check_normal
 from .weakfield import WeakField, delta_force_per_area, fermi_force_per_area
 
 if TYPE_CHECKING:
@@ -57,10 +57,10 @@ class FigureSpec:
             raise DomainError(f"figure id must be 1..6, got {self.fig_id}")
         if not (self.L_min < self.L_max and self.A_min < self.A_max):
             raise DomainError("sweep ranges require min < max")
-        if not 2 <= self.points <= MAX_POINTS:
+        if not 2 <= check_integer(self.points, "points") <= MAX_POINTS:
             raise DomainError(f"sweeps need 2 to {MAX_POINTS} points, got {self.points}")
         for L in (self.L_min, self.L_max) + self.L_list:
-            check_geometry(L)
+            check_geometry(L, self.polarizations)
         if not all(0.0 < A < math.inf for A in (self.A_min, self.A_max) + self.A_list):
             raise DomainError("areas must be positive and finite")
 

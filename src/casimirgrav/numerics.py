@@ -23,7 +23,8 @@ from functools import lru_cache
 from itertools import product, starmap
 from typing import Callable, Sequence
 
-from .errors import ConvergenceError, DivergentSeriesError, DomainError, check_finite
+from .errors import (ConvergenceError, DivergentSeriesError, DomainError, check_finite,
+                     check_integer)
 
 __all__ = [
     "Interval",
@@ -41,6 +42,8 @@ _EPS = sys.float_info.epsilon
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 
 _MAX_SPLITS = 40  # panel splits before ConvergenceError
+# [lo, inf) mapped onto u in [0, 1) starts as these two panels
+_SEMI_INFINITE_PANELS = (((0.0, 0.5),), ((0.5, 1.0),))
 
 # The 8 positive nodes of the 16-point Gauss-Legendre rule on [-1, 1] (the
 # roots of P_16) and their weights 2 / ((1 - x^2) P_16'(x)^2), each the double
@@ -57,28 +60,17 @@ _GL16_WEIGHTS = (
 
 @dataclass(frozen=True)
 class Interval:
-    """Integration interval ``[lo, hi]``, with ``hi = inf`` allowed.
-
-    Semi-infinite intervals must carry ``decay_rate``, a positive lower
-    bound on the exponential decay rate of the integrand; it is used to
-    place the initial panel boundaries after the variable change
-    ``t = lo + u/(1-u)``.
-    """
+    """Integration interval ``[lo, hi]`` with a finite ``lo``; ``hi = inf``
+    makes it semi-infinite."""
 
     lo: float
     hi: float = math.inf
-    decay_rate: float | None = None
 
     def __post_init__(self) -> None:
         if not self.lo < self.hi:
             raise DomainError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
         if math.isinf(self.lo):
             raise DomainError("lower endpoint must be finite")
-        if math.isinf(self.hi):
-            if self.decay_rate is None or not self.decay_rate > 0:
-                raise DomainError(
-                    "semi-infinite interval requires a positive exponential decay_rate hint"
-                )
 
     @property
     def is_semi_infinite(self) -> bool:
@@ -234,10 +226,13 @@ def integrate_1d(
     Finite intervals start as a single panel and are bisected where the
     two-half refinement disagrees most with the single-panel estimate.
     Semi-infinite intervals are mapped onto ``u in [0, 1)`` through
-    ``t = lo + u/(1-u)``; the decay hint fixes the point beyond which the
-    integrand is below double-precision resolution, and the initial panels
-    resolve everything before it. Nodes never touch interval endpoints, so
-    integrable endpoint singularities (0/0 limits) are tolerated.
+    ``t = lo + u/(1-u)`` and start as the two panels [0, 1/2] and [1/2, 1];
+    the refinement finds where the integrand lives, so no decay rate is
+    needed. The rule suits integrands that decay smoothly, such as
+    t^k e^{-rt} for any rate r > 0; an integrand that oscillates many times
+    per unit t (sin(10 t) e^{-t} and faster) can miss its bound or exhaust
+    the split budget. Nodes never touch interval endpoints, so integrable
+    endpoint singularities (0/0 limits) are tolerated.
 
     Args:
       f: integrand, finite on the interior of ``iv``.
@@ -261,11 +256,7 @@ def integrate_1d(
         den = 1.0 - u
         return f(lo + u / den) / (den * den)
 
-    # e^{-rate * span} < 2^-60 beyond the truncation point
-    span = 42.0 / iv.decay_rate
-    u_cut = span / (1.0 + span)
-    cuts = [u_cut * k / 8.0 for k in range(9)] + [1.0]
-    return _adaptive(mapped, [((a, b),) for a, b in zip(cuts[:-1], cuts[1:])], spec)
+    return _adaptive(mapped, _SEMI_INFINITE_PANELS, spec)
 
 
 def integrate_nd(
@@ -320,10 +311,11 @@ def tail_bounded_power_sum(p: float, scale: float, n_terms: int) -> SeriesResult
 
     The bound ``|scale| / ((p-1) N^{p-1})`` dominates the omitted tail by
     the integral comparison test, so ``error_bound`` is rigorous for the
-    limit ``scale * zeta(p)``.
+    limit ``scale * zeta(p)``. ``n_terms`` must be an integer.
     """
     if p <= 1:
         raise DivergentSeriesError(f"sum of 1/n^p diverges for p = {p}")
+    n_terms = check_integer(n_terms, "n_terms")
     if n_terms < 1:
         raise DomainError("n_terms must be a positive integer")
     value = scale * math.fsum(n ** -p for n in range(1, n_terms + 1))

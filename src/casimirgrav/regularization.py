@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cavity import check_geometry
-from .errors import CasimirError, DomainError
+from .errors import CasimirError, DomainError, check_integer
 from .numerics import (
     Interval,
     QuadratureSpec,
@@ -87,6 +87,7 @@ def energy_density_image_sum(L: float, n_terms: int = DEFAULT_IMAGE_TERMS) -> Se
     comes from the integral comparison test. At most MAX_IMAGE_TERMS terms.
     """
     check_geometry(L)
+    n_terms = check_integer(n_terms, "n_terms")
     if n_terms > MAX_IMAGE_TERMS:
         raise DomainError(f"n_terms must be at most {MAX_IMAGE_TERMS}, got {n_terms}")
     return tail_bounded_power_sum(4.0, -1.0 / (16.0 * math.pi ** 2 * L ** 4), n_terms)
@@ -105,6 +106,7 @@ def abel_plana_regularized_power_sum(
     Even p gives exactly zero; the sine is resolved from p mod 4 so no
     floating-point cancellation enters; that exact zero counts as one term.
     """
+    p = check_integer(p, "exponent")
     if p < 1:
         raise DomainError(f"exponent must be a positive integer, got {p}")
     if p % 2 == 0:
@@ -117,7 +119,7 @@ def abel_plana_regularized_power_sum(
             return 0.0
         return t ** p / math.expm1(w)
 
-    integral = integrate_1d(branch_cut, Interval(0.0, math.inf, decay_rate=2.0 * math.pi), quad)
+    integral = integrate_1d(branch_cut, Interval(0.0, math.inf), quad)
     return integral.scaled(-2.0 * sign)
 
 

@@ -12,7 +12,7 @@ from casimirgrav.cavity import (
     feynman_propagator,
     pressure,
 )
-from casimirgrav.errors import GeometryError, LightConeError
+from casimirgrav.errors import DomainError, GeometryError, LightConeError
 from casimirgrav.numerics import central_diff
 from casimirgrav.regularization import energy_density_image_sum
 
@@ -142,18 +142,51 @@ def test_propagator_symmetric_in_arguments():
 
 
 def test_propagator_light_cone_error():
-    with pytest.raises(LightConeError):
-        feynman_propagator(SpacetimePoint(1, 1, 0, 0), SpacetimePoint(0, 0, 0, 0))
-    # timelike but within tolerance of the cone
-    with pytest.raises(LightConeError):
-        feynman_propagator(
-            SpacetimePoint(1.0, 1.0 - 1e-14, 0, 0),
-            SpacetimePoint(0, 0, 0, 0),
-            light_cone_tol=1e-12,
-        )
-    # same separation passes with a tighter tolerance
-    feynman_propagator(
-        SpacetimePoint(1.0, 1.0 - 1e-14, 0, 0),
-        SpacetimePoint(0, 0, 0, 0),
-        light_cone_tol=1e-16,
-    )
+    origin = SpacetimePoint(0, 0, 0, 0)
+    for x in (SpacetimePoint(1, 1, 0, 0), origin):  # null and coincident
+        with pytest.raises(LightConeError):
+            feynman_propagator(x, origin)
+    # timelike or spacelike by less than 1e-12 of dt^2 + |dx|^2
+    for x in (SpacetimePoint(1.0, 1.0 - 1e-14, 0, 0),
+              SpacetimePoint(1e3 * (1 + 1e-15), 1e3, 0, 0)):
+        with pytest.raises(LightConeError):
+            feynman_propagator(x, origin)
+
+
+def test_propagator_at_micron_equal_time_separation():
+    value = feynman_propagator(SpacetimePoint(x=1e-7), SpacetimePoint())
+    assert value == pytest.approx(1.0 / (4.0 * math.pi ** 2 * 1e-14), rel=1e-15)
+
+
+def test_propagator_is_independent_of_the_length_unit():
+    rng = np.random.default_rng(11)
+    pairs = [rng.uniform(-3.0, 3.0, size=(2, 4)) for _ in range(20)]
+    pairs.append(np.array([[1.0, 1.0 - 1e-14, 0, 0], [0, 0, 0, 0]]))
+    for a, b in pairs:
+        outcomes = []
+        for k in range(-8, 9):
+            scale = 10.0 ** k
+            try:
+                value = feynman_propagator(SpacetimePoint(*(a * scale)), SpacetimePoint(*(b * scale)))
+            except LightConeError:
+                outcomes.append(None)
+            else:
+                outcomes.append(value * scale ** 2)
+        if outcomes[0] is None:
+            assert outcomes == [None] * 17
+        else:
+            assert outcomes == pytest.approx([outcomes[8]] * 17, rel=1e-12)
+
+
+def test_propagator_past_double_range_raises():
+    with pytest.raises(DomainError) as info:
+        feynman_propagator(SpacetimePoint(x=1e200), SpacetimePoint())
+    assert not isinstance(info.value, LightConeError)
+
+
+@pytest.mark.parametrize("coord", ["t", "x", "y", "z"])
+def test_spacetime_point_rejects_non_finite_coordinates(coord):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(GeometryError, match="finite"):
+            SpacetimePoint(**{coord: bad})
+    assert getattr(SpacetimePoint(**{coord: np.float64(1.5)}), coord) == 1.5

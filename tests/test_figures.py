@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from casimirgrav.cavity import CavityConfig, energy_density, energy_per_area, pressure
-from casimirgrav.errors import DomainError
+from casimirgrav.errors import DomainError, GeometryError
 from casimirgrav.figures import (
     _BLOCK_ROWS,
     FigureData,
@@ -73,8 +73,20 @@ def test_figure_spec_validation():
         FigureSpec(1, L_min=2.0, L_max=1.0)
     with pytest.raises(DomainError):
         FigureSpec(1, points=1)
+    for points in (2.5, 3.0):
+        with pytest.raises(DomainError, match="integer"):
+            FigureSpec(2, points=points)
+    assert len(figure_series(FigureSpec(2, points=np.int64(3))).series[0]) == 3
     with pytest.raises(DomainError):
         FigureSpec(5, A_list=(1.0, -2.0))
+
+
+@pytest.mark.parametrize("fig_id", range(1, 7))
+def test_figure_spec_checks_polarizations(fig_id):
+    for pol in (0, 3, 7):
+        with pytest.raises(GeometryError, match="polarizations"):
+            FigureSpec(fig_id, polarizations=pol)
+    assert "polarizations=1" in figure_series(FigureSpec(fig_id, polarizations=1)).metadata[2]
 
 
 def test_csv_round_trip(tmp_path):

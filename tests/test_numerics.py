@@ -18,6 +18,7 @@ from casimirgrav.numerics import (
     relative_discrepancy,
     tail_bounded_power_sum,
 )
+from casimirgrav.regularization import abel_plana_regularized_power_sum
 from casimirgrav.weakfield import PlateApparatus, WeakField, delta_energy_quadrature
 
 
@@ -32,21 +33,25 @@ def test_integrate_sin():
     assert abs(res.value - 2.0) <= max(res.error_bound, 1e-14)
 
 
-def test_integrate_semi_infinite_bose_tail():
+def test_semi_infinite_bose_integral():
     # int_0^inf 2 t^3/(e^{2 pi t}-1) dt = 2 Gamma(4) zeta(4) / (2 pi)^4 = 1/120
     def f(t):
         w = 2.0 * math.pi * t
         return 2.0 * t ** 3 / math.expm1(w) if w < 700.0 else 0.0
 
-    res = integrate_1d(f, Interval(0.0, math.inf, decay_rate=2.0 * math.pi))
+    res = integrate_1d(f, Interval(0.0, math.inf))
     assert res.value == pytest.approx(1.0 / 120.0, rel=1e-9)
 
 
-def test_semi_infinite_requires_decay_hint():
-    with pytest.raises(DomainError):
-        Interval(0.0, math.inf)
-    with pytest.raises(DomainError):
-        Interval(0.0, math.inf, decay_rate=-1.0)
+@pytest.mark.parametrize("rate", [1e-2, 1.0, 2.0 * math.pi, 1e2])
+@pytest.mark.parametrize("lo", [0.0, -3.0, 5.0])
+def test_semi_infinite_exponential_needs_no_decay_hint(rate, lo):
+    # int_lo^inf e^{-rate t} dt = e^{-rate lo} / rate, whatever the rate
+    res = integrate_1d(lambda t: math.exp(-rate * t), Interval(lo, math.inf))
+    exact = mpmath.exp(-mpmath.mpf(rate) * lo) / rate
+    err = abs(mpmath.mpf(res.value) - exact)
+    assert err <= QuadratureSpec().relative_tolerance * exact
+    assert err <= res.error_bound
 
 
 def test_interval_ordering_validated():
@@ -157,7 +162,7 @@ def test_integrate_nd_rejects_bad_boxes():
     with pytest.raises(DomainError):
         integrate_nd(lambda *xs: 1.0, [Interval(0.0, 1.0)] * 4)
     with pytest.raises(DomainError):
-        integrate_nd(lambda x: 1.0, [Interval(0.0, math.inf, decay_rate=1.0)])
+        integrate_nd(lambda x: 1.0, [Interval(0.0, math.inf)])
     with pytest.raises(DomainError):
         integrate_nd(lambda: 1.0, [])
 
@@ -180,7 +185,7 @@ def _bose(t):
 
 @pytest.mark.parametrize("f, integrate", [
     (math.sqrt, lambda f: integrate_1d(f, Interval(0.0, 1.0))),
-    (_bose, lambda f: integrate_1d(f, Interval(0.0, math.inf, decay_rate=2.0 * math.pi))),
+    (_bose, lambda f: integrate_1d(f, Interval(0.0, math.inf))),
     (lambda x, y: math.exp(-x * x - y * y),
      lambda f: integrate_nd(f, [Interval(-3.0, 3.0)] * 2)),
     (lambda x, y, z: math.exp(-x * x - y * y - z * z),
@@ -198,6 +203,11 @@ def test_integrate_nd_bilinear_needs_one_panel():
     res = integrate_nd(lambda x, y, z: x * y * z + 1.0, [Interval(0.0, 1.0)] * 3)
     assert res.value == pytest.approx(1.125, rel=1e-14)
     assert res.terms_used == 9 * 16 ** 3
+
+
+def test_abel_plana_evaluations():
+    # the two initial panels of [0, 1) and their halves, 16 nodes each
+    assert abel_plana_regularized_power_sum(3).terms_used == 2 * 3 * 16
 
 
 def test_delta_energy_quadrature_evaluations():

@@ -7,7 +7,7 @@ from scipy.special import zeta as scipy_zeta
 
 from casimirgrav import regularization
 from casimirgrav.errors import ConvergenceError, DomainError, GeometryError
-from casimirgrav.numerics import QuadratureSpec
+from casimirgrav.numerics import QuadratureSpec, tail_bounded_power_sum
 from casimirgrav.regularization import (
     MAX_IMAGE_TERMS,
     SchemeKind,
@@ -118,6 +118,34 @@ def test_abel_plana_matches_gamma_zeta_closed_form(p):
 def test_abel_plana_rejects_nonpositive_exponent():
     with pytest.raises(DomainError):
         abel_plana_regularized_power_sum(0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: abel_plana_regularized_power_sum(n),
+    lambda n: tail_bounded_power_sum(4.0, 1.0, n),
+    lambda n: energy_density_image_sum(1.0, n),
+    lambda n: compare_schemes(1.0, n),
+], ids=["abel-plana", "tail-sum", "image-sum", "compare-schemes"])
+def test_non_integer_exponent_or_count_raises(call):
+    for n in (2.5, 3.0, "3", None):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call(n)
+    assert call(np.int64(3)) == call(3)
+
+
+def test_compare_schemes_names_the_scheme_of_a_non_integer_count():
+    with pytest.raises(DomainError, match="scheme image-sum"):
+        compare_schemes(1.0, 2.5)
+
+
+def test_abel_plana_bound_holds_on_seeded_draws():
+    # value +- error_bound must enclose -pi^2/(1440 L^3) at 50 digits
+    rng = np.random.default_rng(2024)
+    with mpmath.workdps(50):
+        for L, tol in zip(10.0 ** rng.uniform(-3, 3, 200), 10.0 ** rng.uniform(-12, -3, 200)):
+            res = energy_per_area_abel_plana(float(L), QuadratureSpec(float(tol)))
+            truth = -mpmath.pi ** 2 / (1440 * mpmath.mpf(float(L)) ** 3)
+            assert abs(mpmath.mpf(res.value) - truth) <= res.error_bound, (L, tol)
 
 
 def test_energy_per_area_abel_plana():
