@@ -9,10 +9,9 @@ single owner of that convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import GeometryError, LightConeError, check_finite, check_normal
+from .errors import FrozenValue, GeometryError, LightConeError, check_finite, check_normal
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,26 +54,25 @@ def check_geometry(L: float, polarizations: int = 1, a: float | None = None) -> 
         raise GeometryError(f"polarizations must be 1 (scalar) or 2 (EM), got {polarizations}")
 
 
-@dataclass(frozen=True)
-class CavityConfig:
+class CavityConfig(FrozenValue):
     """Plate separation and polarization count (1 scalar, 2 electromagnetic)."""
 
-    L: float
-    polarizations: int = 2
+    __slots__ = ("L", "polarizations")
 
-    def __post_init__(self) -> None:
-        check_geometry(self.L, self.polarizations)
+    def __init__(self, L: float, polarizations: int = 2) -> None:
+        check_geometry(L, polarizations)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "polarizations", polarizations)
 
 
-@dataclass(frozen=True)
-class StressTensor:
+class StressTensor(FrozenValue):
     """Diagonal vacuum stress tensor <T^{mu nu}> in the cavity rest frame."""
 
-    components: np.ndarray
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, components: np.ndarray) -> None:
         import numpy as np
-        c = np.asarray(self.components, dtype=float)
+        c = np.asarray(components, dtype=float)
         if c.shape != (4, 4):
             raise GeometryError("stress tensor must be 4x4")
         object.__setattr__(self, "components", c)
@@ -87,17 +85,18 @@ class StressTensor:
         return total
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
+class SpacetimePoint(FrozenValue):
     """Event (t, x, y, z) in the cavity rest frame; every coordinate finite."""
 
-    t: float = 0.0
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
+    __slots__ = ("t", "x", "y", "z")
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.t, self.x, self.y, self.z))):
+    def __init__(self, t: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        # checked after the fields are set, so the message can show the point
+        if not all(map(math.isfinite, (t, x, y, z))):
             raise GeometryError(f"spacetime coordinates must be finite, got {self}")
 
 

@@ -29,7 +29,7 @@ from .errors import (
     RegimeWarning,
 )
 from .figures import FigureSpec, figure_series, write_csv, write_json
-from .numerics import QuadratureSpec, relative_discrepancy
+from .numerics import DEFAULT_RELATIVE_TOLERANCE, QuadratureSpec, relative_discrepancy
 from .regularization import DEFAULT_IMAGE_TERMS, compare_schemes, riemann_zeta
 from .units import UnitKind, UnitSystem
 from .weakfield import (
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gravity order parameter (natural: 1/length; si: m/s^2)")
     p.add_argument("--polarizations", type=int, default=2, choices=[1, 2])
     p.add_argument("--method", choices=["closed", "quadrature"], default="closed")
-    p.add_argument("--tolerance", type=float, default=QuadratureSpec.relative_tolerance,
+    p.add_argument("--tolerance", type=float, default=DEFAULT_RELATIVE_TOLERANCE,
                    help="quadrature relative tolerance")
     _add_units_flag(p)
     p.set_defaults(func=_cmd_gravity)
@@ -240,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=float, required=True, help="plate separation")
     p.add_argument("--n-terms", dest="n_terms", type=int, default=DEFAULT_IMAGE_TERMS,
                    help="image-sum term count")
-    p.add_argument("--tolerance", type=float, default=QuadratureSpec.relative_tolerance,
+    p.add_argument("--tolerance", type=float, default=DEFAULT_RELATIVE_TOLERANCE,
                    help="abel-plana quadrature relative tolerance")
     p.set_defaults(func=_cmd_regularize)
 

@@ -1,5 +1,6 @@
 """Exception hierarchy, advisory warnings, the integer check on counts and
-exponents, and the range checks on results."""
+exponents, the range checks on results, and :class:`FrozenValue`, the base of
+every value type in the package."""
 
 import math
 import operator
@@ -16,6 +17,7 @@ __all__ = [
     "check_integer",
     "check_finite",
     "check_normal",
+    "FrozenValue",
 ]
 
 
@@ -73,3 +75,47 @@ def check_normal(value: float, what: str, *factors: float) -> float:
     if abs(value) < sys.float_info.min and (value != 0 or all(factors)):
         raise DomainError(f"{what} underflows the double range for these inputs")
     return value
+
+
+class FrozenValue:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in ``__slots__`` (a name starting with ``_``,
+    such as a cache, is private state and no field), validates its arguments
+    in ``__init__`` and then sets each field once with ``object.__setattr__``.
+    Assigning or deleting an attribute afterwards raises
+    :class:`AttributeError`. Equality (between values of one class), hash
+    and repr go over the fields in declaration order; a value pickles and
+    copies by constructing it again from its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls.__match_args__ = cls._fields
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()

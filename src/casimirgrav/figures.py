@@ -9,18 +9,15 @@ only when :attr:`FigureData.rows` is read.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .cavity import CavityConfig, check_geometry, energy_density, energy_per_area, pressure
-from .errors import DomainError, check_integer, check_normal
+from .errors import DomainError, FrozenValue, check_integer, check_normal
 from .weakfield import WeakField, delta_force_per_area, fermi_force_per_area
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Iterable, Iterator
 
     import numpy as np
 __all__ = ["FigureSpec", "FigureData", "figure_series", "write_csv", "write_json"]
@@ -37,51 +34,76 @@ FIGURE_TITLES = {
 MAX_POINTS = 10**6  # a figure 6 CSV of this many rows is 70 MB
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """Sweep ranges and fixed parameters for one figure (ids 1-6)."""
+class FigureSpec(FrozenValue):
+    """Sweep ranges and fixed parameters for one figure (ids 1-6).
 
-    fig_id: int
-    L_min: float = 0.5
-    L_max: float = 5.0
-    points: int = 200
-    A_min: float = 0.5
-    A_max: float = 5.0
-    A_list: tuple[float, ...] = (1.0, 2.0, 4.0)
-    L_list: tuple[float, ...] = (0.5, 1.0, 2.0)
-    g: float = 1.0
-    polarizations: int = 2
+    ``fig_id``, ``points`` and ``polarizations`` must be integers (numpy
+    integers are stored as ``int``); ``A_list`` (figure 4) and ``L_list``
+    (figure 5) take any non-empty iterable of numbers and are stored as
+    tuples."""
 
-    def __post_init__(self) -> None:
-        if self.fig_id not in FIGURE_TITLES:
-            raise DomainError(f"figure id must be 1..6, got {self.fig_id}")
-        if not (self.L_min < self.L_max and self.A_min < self.A_max):
+    __slots__ = ("fig_id", "L_min", "L_max", "points", "A_min", "A_max", "A_list", "L_list",
+                 "g", "polarizations")
+
+    def __init__(self, fig_id: int, L_min: float = 0.5, L_max: float = 5.0, points: int = 200,
+                 A_min: float = 0.5, A_max: float = 5.0,
+                 A_list: Iterable[float] = (1.0, 2.0, 4.0),
+                 L_list: Iterable[float] = (0.5, 1.0, 2.0), g: float = 1.0,
+                 polarizations: int = 2) -> None:
+        fig_id = check_integer(fig_id, "figure id")
+        if fig_id not in FIGURE_TITLES:
+            raise DomainError(f"figure id must be 1..6, got {fig_id}")
+        if not (L_min < L_max and A_min < A_max):
             raise DomainError("sweep ranges require min < max")
-        if not 2 <= check_integer(self.points, "points") <= MAX_POINTS:
-            raise DomainError(f"sweeps need 2 to {MAX_POINTS} points, got {self.points}")
-        for L in (self.L_min, self.L_max) + self.L_list:
-            check_geometry(L, self.polarizations)
-        if not all(0.0 < A < math.inf for A in (self.A_min, self.A_max) + self.A_list):
+        points = check_integer(points, "points")
+        if not 2 <= points <= MAX_POINTS:
+            raise DomainError(f"sweeps need 2 to {MAX_POINTS} points, got {points}")
+        polarizations = check_integer(polarizations, "polarizations")
+        A_list = tuple(A_list)
+        L_list = tuple(L_list)
+        if not (A_list and L_list):
+            raise DomainError("A_list and L_list must each hold at least one value")
+        for L in (L_min, L_max) + L_list:
+            check_geometry(L, polarizations)
+        if not all(0.0 < A < math.inf for A in (A_min, A_max) + A_list):
             raise DomainError("areas must be positive and finite")
+        object.__setattr__(self, "fig_id", fig_id)
+        object.__setattr__(self, "L_min", L_min)
+        object.__setattr__(self, "L_max", L_max)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "A_min", A_min)
+        object.__setattr__(self, "A_max", A_max)
+        object.__setattr__(self, "A_list", A_list)
+        object.__setattr__(self, "L_list", L_list)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "polarizations", polarizations)
 
 
-@dataclass(frozen=True)
-class FigureData:
+class FigureData(FrozenValue):
     """Column-oriented figure series with provenance metadata lines.
 
     ``series`` holds one list of Python floats per name in ``columns``, all
-    of one length. :attr:`rows` stacks them into a numpy array on first use;
-    nothing else here loads numpy."""
+    of one length; ``metadata`` defaults to a new empty list. :attr:`rows`
+    stacks the series into a numpy array on first use; nothing else here
+    loads numpy."""
 
-    columns: list[str]
-    series: list[list[float]]
-    metadata: list[str] = field(default_factory=list)
+    __slots__ = ("columns", "series", "metadata", "_rows")
 
-    @cached_property
+    def __init__(self, columns: list[str], series: list[list[float]],
+                 metadata: list[str] | None = None) -> None:
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "metadata", [] if metadata is None else metadata)
+
+    @property
     def rows(self) -> np.ndarray:
         """The series as one (points, columns) float array, built once on first use."""
-        import numpy as np
-        return np.column_stack(self.series)
+        try:
+            return self._rows
+        except AttributeError:
+            import numpy as np
+            object.__setattr__(self, "_rows", np.column_stack(self.series))
+            return self._rows
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -180,18 +202,16 @@ def write_csv(data: FigureData, path: str) -> None:
         fh.writelines(_row_blocks(data.series, row))
 
 
-def _json_number(v: float) -> str:
-    """``v`` as :mod:`json` writes it: its repr, or NaN / Infinity / -Infinity."""
-    return repr(v) if math.isfinite(v) else json.dumps(v)
-
-
 def write_json(data: FigureData, path: str) -> None:
     """JSON mirror of the CSV columns: an array of row objects, laid out as
     ``json.dump(rows, fh, indent=1)`` lays them out."""
+    import json  # only JSON exports load it
     keys = (json.dumps(c).replace("{", "{{").replace("}", "}}") for c in data.columns)
     row = " {{\n" + ",\n".join(f"  {k}: {{}}" for k in keys) + "\n }}"
-    # '{}' formats a float as its repr; a column with a non-finite cell goes through json
-    series = [col if all(map(math.isfinite, col)) else list(map(_json_number, col))
+    # '{}' formats a float as its repr; a column with a non-finite cell is
+    # rendered to strings first, its NaN and infinities by json
+    series = [col if all(map(math.isfinite, col))
+              else [repr(v) if math.isfinite(v) else json.dumps(v) for v in col]
               for col in data.series]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[")

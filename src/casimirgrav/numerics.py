@@ -18,13 +18,12 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product, starmap
 from typing import Callable, Sequence
 
-from .errors import (ConvergenceError, DivergentSeriesError, DomainError, check_finite,
-                     check_integer)
+from .errors import (ConvergenceError, DivergentSeriesError, DomainError, FrozenValue,
+                     check_finite, check_integer)
 
 __all__ = [
     "Interval",
@@ -40,6 +39,8 @@ __all__ = [
 
 _EPS = sys.float_info.epsilon
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
+
+DEFAULT_RELATIVE_TOLERANCE = 1e-9  # of QuadratureSpec()
 
 _MAX_SPLITS = 40  # panel splits before ConvergenceError
 # [lo, inf) mapped onto u in [0, 1) starts as these two panels
@@ -58,39 +59,38 @@ _GL16_WEIGHTS = (
 )
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(FrozenValue):
     """Integration interval ``[lo, hi]`` with a finite ``lo``; ``hi = inf``
     makes it semi-infinite."""
 
-    lo: float
-    hi: float = math.inf
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise DomainError(f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
-        if math.isinf(self.lo):
+    def __init__(self, lo: float, hi: float = math.inf) -> None:
+        if not lo < hi:
+            raise DomainError(f"interval requires lo < hi, got [{lo}, {hi}]")
+        if math.isinf(lo):
             raise DomainError("lower endpoint must be finite")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def is_semi_infinite(self) -> bool:
         return math.isinf(self.hi)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(FrozenValue):
     """Relative tolerance of the adaptive quadrature, the one setting of its
     fixed rule (16 Gauss-Legendre nodes per axis, at most 40 panel splits)."""
 
-    relative_tolerance: float = 1e-9
+    __slots__ = ("relative_tolerance",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.relative_tolerance <= 1e-2:
+    def __init__(self, relative_tolerance: float = DEFAULT_RELATIVE_TOLERANCE) -> None:
+        if not 0.0 < relative_tolerance <= 1e-2:
             raise DomainError("relative_tolerance must lie in (0, 1e-2]")
+        object.__setattr__(self, "relative_tolerance", relative_tolerance)
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(FrozenValue):
     """Value of a limit process together with an error bound and its work.
 
     The one result type of the package. ``error_bound`` bounds
@@ -111,17 +111,18 @@ class SeriesResult:
     leaves the double range raises :class:`DomainError` on construction.
     """
 
-    value: float
-    error_bound: float
-    terms_used: int
+    __slots__ = ("value", "error_bound", "terms_used")
 
-    def __post_init__(self) -> None:
-        check_finite(self.value, "result value")
-        check_finite(self.error_bound, "error bound")
-        if self.error_bound < 0:
+    def __init__(self, value: float, error_bound: float, terms_used: int) -> None:
+        check_finite(value, "result value")
+        check_finite(error_bound, "error bound")
+        if error_bound < 0:
             raise DomainError("error_bound must be non-negative")
-        if self.terms_used < 1:
+        if terms_used < 1:
             raise DomainError("terms_used must be a positive integer")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error_bound", error_bound)
+        object.__setattr__(self, "terms_used", terms_used)
 
     def scaled(self, c: float) -> SeriesResult:
         """This result times the exact constant ``c``."""
@@ -165,21 +166,26 @@ def _box_sums(f, box, nodes, weights) -> tuple[float, float]:
     return scale * total, gross
 
 
-@dataclass(order=True)
-class _Panel:
-    neg_error: float
-    value: float = field(compare=False)
-    gross: float = field(compare=False)
-    halves: list = field(compare=False)  # (half-box, value, gross) per half-box
+class _Panel(tuple):
+    """Heap entry ``(-error, value, gross, halves)``, ``halves`` holding
+    ``(half-box, value, gross)`` per half-box, ordered by error alone. Mirror
+    panels of a symmetric integrand can tie on error while their values
+    differ in the last bit; a plain tuple would break that tie on the value,
+    split the other panel and move the result."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: _Panel) -> bool:
+        return self[0] < other[0]
 
 
 def _refined_panel(f, box, coarse: float, nodes, weights) -> _Panel:
-    """Panel whose value sums the 2^d half-boxes of ``box``; its error is the
+    """Panel of ``box`` whose value sums the 2^d half-boxes; its error is the
     difference against ``coarse``, the single-box estimate."""
     bisected = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in box]
     halves = [(half, *_box_sums(f, half, nodes, weights)) for half in product(*bisected)]
     fine = math.fsum(h[1] for h in halves)
-    return _Panel(-abs(fine - coarse), fine, math.fsum(h[2] for h in halves), halves)
+    return _Panel((-abs(fine - coarse), fine, math.fsum(h[2] for h in halves), halves))
 
 
 def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
@@ -195,9 +201,9 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
 
     splits = 0
     while True:
-        total = math.fsum(p.value for p in heap)
-        err = math.fsum(-p.neg_error for p in heap)
-        gross = math.fsum(p.gross for p in heap)
+        total = math.fsum(p[1] for p in heap)
+        err = math.fsum(-p[0] for p in heap)
+        gross = math.fsum(p[2] for p in heap)
         # The second acceptance branch stops refinement once the estimated
         # error sits at the rounding noise of the accumulated quadrature
         # sums; below that level the relative target is unattainable.
@@ -209,8 +215,8 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
                 f"{spec.relative_tolerance:g} within {_MAX_SPLITS} "
                 f"subdivisions (estimated error {err:.3e} on value {total:.6e})"
             )
-        worst = heapq.heappop(heap)
-        for half_box, coarse, _ in worst.halves:
+        *_, halves = heapq.heappop(heap)  # the worst panel
+        for half_box, coarse, _ in halves:
             heapq.heappush(heap, _refined_panel(f, half_box, coarse, nodes, weights))
         evals += 4 ** dim * len(weights)
         splits += 1

@@ -15,11 +15,10 @@ of two is applied exclusively in :mod:`casimirgrav.cavity`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .cavity import check_geometry
-from .errors import CasimirError, DomainError, check_integer
+from .errors import CasimirError, DomainError, FrozenValue, check_integer
 from .numerics import (
     Interval,
     QuadratureSpec,
@@ -135,12 +134,15 @@ def energy_per_area_abel_plana(
     return abel_plana_regularized_power_sum(3, quad).scaled(-(math.pi ** 2) / (12.0 * L ** 3))
 
 
-@dataclass(frozen=True)
-class SchemeComparison:
+class SchemeComparison(FrozenValue):
     """Per-scheme scalar energy per area and their worst pairwise spread."""
 
-    energy_per_area: dict[SchemeKind, SeriesResult]
-    max_relative_discrepancy: float
+    __slots__ = ("energy_per_area", "max_relative_discrepancy")
+
+    def __init__(self, energy_per_area: dict[SchemeKind, SeriesResult],
+                 max_relative_discrepancy: float) -> None:
+        object.__setattr__(self, "energy_per_area", energy_per_area)
+        object.__setattr__(self, "max_relative_discrepancy", max_relative_discrepancy)
 
 
 def compare_schemes(

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import check_normal
+from .errors import FrozenValue, check_normal
 
 __all__ = ["HBAR", "C_LIGHT", "HBAR_C", "UnitKind", "UnitSystem"]
 
@@ -35,15 +34,17 @@ class UnitKind(Enum):
     SI = "si"
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(FrozenValue):
     """Output unit system of the command line, on the CODATA constants.
 
     Natural units pass values through unchanged. SI multiplies energy-like
     outputs by hbar*c and divides an input acceleration by c^2.
     """
 
-    kind: UnitKind
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: UnitKind) -> None:
+        object.__setattr__(self, "kind", kind)
 
     @property
     def is_si(self) -> bool:

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .cavity import CavityConfig, SpacetimePoint, check_geometry, energy_per_area, pressure
-from .errors import GeometryError, RegimeWarning, check_finite, check_normal
+from .errors import FrozenValue, GeometryError, RegimeWarning, check_finite, check_normal
 from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_nd
 
 if TYPE_CHECKING:
@@ -49,8 +48,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PlateApparatus:
+class PlateApparatus(FrozenValue):
     """Square-plate Casimir apparatus in gravity-aligned lab coordinates.
 
     ``a`` is the transverse plate side (area A = a^2), ``L`` the plate
@@ -60,20 +58,21 @@ class PlateApparatus:
     assume a >> L; smaller aspect ratios only warn.
     """
 
-    a: float
-    L: float
-    xi0: float = 0.0
-    alpha: float = 0.0
-    polarizations: int = 2
+    __slots__ = ("a", "L", "xi0", "alpha", "polarizations")
 
-    def __post_init__(self) -> None:
-        check_geometry(self.L, self.polarizations, self.a)
-        if not (math.isfinite(self.xi0) and math.isfinite(self.alpha)):
-            raise GeometryError(f"xi0 and alpha must be finite, got {self.xi0}, {self.alpha}")
-        object.__setattr__(self, "alpha", self.alpha % _TWO_PI)
-        if self.a < 10.0 * self.L:
+    def __init__(self, a: float, L: float, xi0: float = 0.0, alpha: float = 0.0,
+                 polarizations: int = 2) -> None:
+        check_geometry(L, polarizations, a)
+        if not (math.isfinite(xi0) and math.isfinite(alpha)):
+            raise GeometryError(f"xi0 and alpha must be finite, got {xi0}, {alpha}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "xi0", xi0)
+        object.__setattr__(self, "alpha", alpha % _TWO_PI)
+        object.__setattr__(self, "polarizations", polarizations)
+        if a < 10.0 * L:
             warnings.warn(
-                f"aspect ratio a/L = {self.a / self.L:.3g} < 10; edge effects "
+                f"aspect ratio a/L = {a / L:.3g} < 10; edge effects "
                 "neglected by the closed forms may be significant",
                 RegimeWarning,
                 stacklevel=2,
@@ -92,15 +91,15 @@ class PlateApparatus:
         return CavityConfig(self.L, self.polarizations)
 
 
-@dataclass(frozen=True)
-class WeakField:
+class WeakField(FrozenValue):
     """Uniform-gravity order parameter g >= 0 (inverse length)."""
 
-    g: float = 0.0
+    __slots__ = ("g",)
 
-    def __post_init__(self) -> None:
-        if self.g < 0 or not math.isfinite(self.g):
-            raise GeometryError(f"field order parameter must be finite and >= 0, got {self.g}")
+    def __init__(self, g: float = 0.0) -> None:
+        if g < 0 or not math.isfinite(g):
+            raise GeometryError(f"field order parameter must be finite and >= 0, got {g}")
+        object.__setattr__(self, "g", g)
 
 
 def _warn_linearized_regime(app: PlateApparatus, field: WeakField) -> None:
@@ -128,16 +127,18 @@ def apparatus_to_lab(p: tuple[float, float, float], alpha: float) -> tuple[float
 
 
 def h_isotropic(field: WeakField, p: SpacetimePoint) -> np.ndarray:
-    """Isotropic-gauge perturbation: diag(-gz, -gz, -gz, -gz)."""
+    """Isotropic-gauge perturbation: diag(-gz, -gz, -gz, -gz); a gz past the
+    double range raises :class:`DomainError`."""
     import numpy as np
-    return np.diag([-field.g * p.z] * 4)
+    return np.diag([check_finite(-field.g * p.z, "h_isotropic")] * 4)
 
 
 def h_fermi(field: WeakField, p: SpacetimePoint) -> np.ndarray:
-    """Fermi-gauge perturbation: only h_00 = -gz survives."""
+    """Fermi-gauge perturbation: only h_00 = -gz survives; a gz past the
+    double range raises :class:`DomainError`."""
     import numpy as np
     h = np.zeros((4, 4))
-    h[0, 0] = -field.g * p.z
+    h[0, 0] = check_finite(-field.g * p.z, "h_fermi")
     return h
 
 
@@ -148,20 +149,21 @@ def gauge_field(field: WeakField) -> Callable[[SpacetimePoint], np.ndarray]:
     zeta_z = (g/4)(z^2 - x^2 - y^2); its symmetrized gradient equals
     h^F - h^I = g z diag(0, 1, 1, 1) identically. The representative is
     unique up to flat-space Killing vectors; the time component is chosen
-    to vanish.
+    to vanish. A component past the double range raises :class:`DomainError`.
     """
     g = field.g
 
     def evaluate(p: SpacetimePoint) -> np.ndarray:
         import numpy as np
-        return np.array(
-            [
-                0.0,
-                0.5 * g * p.z * p.x,
-                0.5 * g * p.z * p.y,
-                0.25 * g * (p.z * p.z - p.x * p.x - p.y * p.y),
-            ]
-        )
+        zeta = [
+            0.0,
+            0.5 * g * p.z * p.x,
+            0.5 * g * p.z * p.y,
+            0.25 * g * (p.z * p.z - p.x * p.x - p.y * p.y),
+        ]
+        for component in zeta:
+            check_finite(component, "gauge field")
+        return np.array(zeta)
 
     return evaluate
 

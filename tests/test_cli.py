@@ -141,9 +141,9 @@ def test_separation_outside_double_range_exits_2(argv, tmp_path, capsys):
     assert not out_file.exists()
 
 
-def _run_without_numpy(lines):
-    """Run ``lines`` in a fresh interpreter on this checkout's sources; each
-    line may assert that numpy is not in ``sys.modules``."""
+def _run_in_fresh_interpreter(lines):
+    """Run ``lines`` in a fresh interpreter on this checkout's sources, after
+    ``import contextlib, io, sys``; a line may assert on ``sys.modules``."""
     code = "\n".join(["import contextlib, io, sys", *lines])
     src = Path(__file__).resolve().parents[1] / "src"
     path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
@@ -154,7 +154,7 @@ def _run_without_numpy(lines):
 
 
 def test_math_only_commands_load_no_numpy():
-    _run_without_numpy([
+    _run_in_fresh_interpreter([
         "import casimirgrav.cli as cli",
         "assert 'numpy' not in sys.modules, 'import'",
         "for argv in (['zeta', '--s', '4'], ['compute', 'pressure', '--L', '1'],",
@@ -169,7 +169,7 @@ def test_math_only_commands_load_no_numpy():
 
 
 def test_quadrature_library_calls_load_no_numpy():
-    _run_without_numpy([
+    _run_in_fresh_interpreter([
         "from casimirgrav import PlateApparatus, WeakField, compare_schemes,"
         " delta_energy_quadrature",
         "compare_schemes(1.0)",
@@ -180,7 +180,7 @@ def test_quadrature_library_calls_load_no_numpy():
 
 
 def test_figure_exports_load_no_numpy(tmp_path):
-    _run_without_numpy([
+    _run_in_fresh_interpreter([
         "import casimirgrav.cli as cli",
         "from casimirgrav.figures import FigureSpec, figure_series",
         f"out = {str(tmp_path / 'fig')!r}",
@@ -194,6 +194,29 @@ def test_figure_exports_load_no_numpy(tmp_path):
         "    assert 'numpy' not in sys.modules, k",
         "data.rows",
         "assert 'numpy' in sys.modules, 'rows'",
+    ])
+
+
+def test_cli_loads_neither_dataclasses_nor_json(tmp_path):
+    # only modules the interpreter had not loaded before casimirgrav count
+    _run_in_fresh_interpreter([
+        "absent = {'dataclasses', 'json'} - set(sys.modules)",
+        "import casimirgrav.cli as cli",
+        "assert not absent & set(sys.modules), 'import'",
+        f"out = {str(tmp_path / 'fig')!r}",
+        "for argv, code in ((['zeta', '--s', '4'], 0), (['compute', 'pressure', '--L', '1'], 0),",
+        "                   (['gravity', '--L', '0.1', '--a', '1', '--xi0', '0.5'], 0),",
+        "                   (['gravity', '--L', '0.1', '--a', '1', '--xi0', '0.5',",
+        "                     '--method', 'quadrature'], 0),",
+        "                   (['regularize', '--L', '1'], 0), (['zeta', '--s', '0.5'], 2),",
+        "                   (['figure', '--id', '4', '--out', out], 0)):",
+        "    with contextlib.redirect_stdout(io.StringIO()), \\",
+        "            contextlib.redirect_stderr(io.StringIO()):",
+        "        assert cli.main(argv) == code, argv",
+        "    assert not absent & set(sys.modules), argv",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['figure', '--id', '4', '--format', 'json', '--out', out]) == 0",
+        "assert 'json' in sys.modules",
     ])
 
 

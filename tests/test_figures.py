@@ -79,6 +79,11 @@ def test_figure_spec_validation():
     assert len(figure_series(FigureSpec(2, points=np.int64(3))).series[0]) == 3
     with pytest.raises(DomainError):
         FigureSpec(5, A_list=(1.0, -2.0))
+    with pytest.raises(DomainError, match="figure id must be an integer"):
+        FigureSpec(2.0, points=3)
+    for lists in ({"A_list": ()}, {"A_list": []}, {"L_list": ()}):
+        with pytest.raises(DomainError, match="at least one value"):
+            FigureSpec(5, **lists)
 
 
 @pytest.mark.parametrize("fig_id", range(1, 7))
@@ -86,7 +91,20 @@ def test_figure_spec_checks_polarizations(fig_id):
     for pol in (0, 3, 7):
         with pytest.raises(GeometryError, match="polarizations"):
             FigureSpec(fig_id, polarizations=pol)
-    assert "polarizations=1" in figure_series(FigureSpec(fig_id, polarizations=1)).metadata[2]
+    with pytest.raises(DomainError, match="polarizations must be an integer"):
+        FigureSpec(fig_id, polarizations=2.0)
+    for pol in (1, True, np.int64(1)):
+        assert figure_series(FigureSpec(fig_id, polarizations=pol)).metadata[2].endswith(
+            " polarizations=1")
+
+
+def test_figure_spec_stores_integers_and_tuples():
+    spec = FigureSpec(np.int64(4), points=np.int64(3), A_list=[1.0, 2.0], L_list=iter([0.5]),
+                      polarizations=np.int64(2))
+    assert [type(v) for v in (spec.fig_id, spec.points, spec.polarizations)] == [int] * 3
+    assert (spec.A_list, spec.L_list) == ((1.0, 2.0), (0.5,))
+    assert hash(spec) == hash(FigureSpec(4, points=3, A_list=(1.0, 2.0), L_list=(0.5,)))
+    assert figure_series(spec).columns == ["L", "delta_force[A=1]", "delta_force[A=2]"]
 
 
 def test_csv_round_trip(tmp_path):

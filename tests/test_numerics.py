@@ -158,6 +158,18 @@ def test_integrate_nd_three_axes():
     assert res.value == pytest.approx(0.125, rel=1e-12)
 
 
+def test_panels_that_tie_on_error_split_in_heap_order():
+    # Mirror panels of this integrand tie on error while their values differ
+    # in the last bit (two quadrants: -0x1.1b2f9b8304000p-10 on values ...cbb3p+2
+    # and ...cbb4p+2). Panels order by error alone; breaking the tie on the
+    # value splits the other panel and gives 0x1.6652dfbcf923fp+4.
+    res = integrate_nd(lambda x, y: 1.0 / (1e-3 + x * x + y * y), [Interval(-1.0, 1.0)] * 2,
+                       QuadratureSpec(1e-6))
+    assert res.value.hex() == "0x1.6652dfbcf923ep+4"
+    assert res.error_bound.hex() == "0x1.6f194df65e000p-16"
+    assert res.terms_used == 34048
+
+
 def test_integrate_nd_rejects_bad_boxes():
     with pytest.raises(DomainError):
         integrate_nd(lambda *xs: 1.0, [Interval(0.0, 1.0)] * 4)

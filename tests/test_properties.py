@@ -6,10 +6,10 @@ never return a subnormal either."""
 import math
 import sys
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from casimirgrav.cavity import L_MAX, L_MIN, CavityConfig
+from casimirgrav.cavity import L_MAX, L_MIN, CavityConfig, SpacetimePoint
 from casimirgrav.errors import CasimirError, DomainError, GeometryError
 from casimirgrav.figures import FigureSpec, figure_series
 from casimirgrav.regularization import compare_schemes, riemann_zeta
@@ -21,6 +21,9 @@ from casimirgrav.weakfield import (
     delta_force_per_area,
     fermi_force_per_area,
     fractional_correction,
+    gauge_field,
+    h_fermi,
+    h_isotropic,
     isotropic_force_per_area,
 )
 
@@ -71,6 +74,22 @@ def test_energy_shift_and_force_chain_are_finite_or_rejected(a, L, xi0, alpha, g
     for force in (delta_force_per_area, isotropic_force_per_area, fermi_force_per_area,
                   fractional_correction):
         _normal_or_typed_error(lambda: force(field, cfg), g)
+
+
+@_SETTINGS
+@given(non_negative, finite, finite, finite, finite)
+@example(1.0, 0.0, 1e200, 0.0, 1e200)  # g z x overflows; z^2 - x^2 is inf - inf
+@example(1e300, 0.0, 0.0, 0.0, 1e300)  # g z overflows
+def test_weak_field_tensors_are_finite_or_rejected(g, t, x, y, z):
+    field = WeakField(g)
+    p = SpacetimePoint(t, x, y, z)
+    for tensor in (lambda: h_isotropic(field, p), lambda: h_fermi(field, p),
+                   lambda: gauge_field(field)(p)):
+        try:
+            cells = tensor().ravel().tolist()
+        except DomainError:
+            continue
+        assert all(map(math.isfinite, cells)), cells
 
 
 def _assert_bounded_and_finite(res):
