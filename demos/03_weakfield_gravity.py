@@ -31,7 +31,7 @@ from casimirgrav import (
     isotropic_force_per_area,
     pressure,
 )
-from casimirgrav.units import UnitKind, UnitSystem
+from casimirgrav.units import energy_like_to_si, gravity_to_natural
 
 warnings.simplefilter("ignore", RegimeWarning)
 
@@ -86,12 +86,11 @@ print(f"  relative to the flat pressure: g L / 3 = {fractional_correction(fld, c
 
 print()
 print("the same cavity in SI: L = 1 um plates in lab gravity g = 9.8 m/s^2")
-si = UnitSystem(UnitKind.SI)
-g_nat = si.gravity_to_natural(9.8)
+g_nat = gravity_to_natural(9.8)
 cfg_um = CavityConfig(1e-6, 2)
 fld_lab = WeakField(g_nat)
-print(f"  flat Casimir pressure: {si.energy_like_to_output(pressure(cfg_um)):.4e} Pa")
-print(f"  Delta F / A:  {si.energy_like_to_output(delta_force_per_area(fld_lab, cfg_um)):+.4e} Pa")
-print(f"  F_fermi / A:  {si.energy_like_to_output(fermi_force_per_area(fld_lab, cfg_um)):+.4e} Pa")
+print(f"  flat Casimir pressure: {energy_like_to_si(pressure(cfg_um)):.4e} Pa")
+print(f"  Delta F / A:  {energy_like_to_si(delta_force_per_area(fld_lab, cfg_um)):+.4e} Pa")
+print(f"  F_fermi / A:  {energy_like_to_si(fermi_force_per_area(fld_lab, cfg_um)):+.4e} Pa")
 print(f"  fractional correction g L / 3 = {fractional_correction(fld_lab, cfg_um):.3e}")
 print("  the gravity correction is ~23 orders of magnitude below the flat pressure")

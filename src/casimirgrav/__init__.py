@@ -38,7 +38,6 @@ from .regularization import (
     energy_per_area_abel_plana,
     riemann_zeta,
 )
-from .units import UnitKind, UnitSystem
 from .weakfield import (
     PlateApparatus,
     WeakField,

@@ -31,7 +31,7 @@ from .errors import (
 from .figures import FigureSpec, figure_series, write_csv, write_json
 from .numerics import DEFAULT_RELATIVE_TOLERANCE, QuadratureSpec, relative_discrepancy
 from .regularization import DEFAULT_IMAGE_TERMS, compare_schemes, riemann_zeta
-from .units import UnitKind, UnitSystem
+from .units import energy_like_to_si, gravity_to_natural
 from .weakfield import (
     PlateApparatus,
     WeakField,
@@ -48,20 +48,14 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_SI_LABELS = {
-    "energy": "J",
-    "energy-density": "Pa",
-    "energy-per-area": "J/m^2",
-    "pressure": "Pa",
-}
-
 
 def _fmt(value: float) -> str:
     return f"{value:.15g}"
 
 
-def _unit_label(units: UnitSystem, kind: str) -> str:
-    return f" {_SI_LABELS[kind]}" if units.is_si else ""
+def _natural(value: float) -> float:
+    """Natural units pass every value through unchanged."""
+    return value
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -77,36 +71,30 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 def _add_units_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--units",
-        choices=[u.value for u in UnitKind],
+        choices=["natural", "si"],
         default="natural",
         help="natural (hbar=c=1) or si (meters in, J/Pa out)",
     )
 
 
-def _units_from(args: argparse.Namespace) -> UnitSystem:
-    return UnitSystem(UnitKind(getattr(args, "units", "natural")))
-
-
 def _cmd_compute(args: argparse.Namespace) -> int:
-    units = _units_from(args)
+    if args.units == "si":
+        out, unit = energy_like_to_si, (" J/m^2" if args.quantity == "energy-per-area" else " Pa")
+    else:
+        out, unit = _natural, ""
     cfg = CavityConfig(args.L, args.polarizations)
     if args.quantity == "energy-density":
-        value = units.energy_like_to_output(energy_density(args.L))
-        print(f"energy density (one polarization) = {_fmt(value)}"
-              f"{_unit_label(units, 'energy-density')}")
+        print(f"energy density (one polarization) = {_fmt(out(energy_density(args.L)))}{unit}")
     elif args.quantity == "energy-per-area":
-        value = units.energy_like_to_output(energy_per_area(cfg))
-        print(f"energy per area = {_fmt(value)}{_unit_label(units, 'energy-per-area')}")
+        print(f"energy per area = {_fmt(out(energy_per_area(cfg)))}{unit}")
     elif args.quantity == "pressure":
-        value = units.energy_like_to_output(pressure(cfg))
-        print(f"pressure = {_fmt(value)}{_unit_label(units, 'pressure')}")
+        print(f"pressure = {_fmt(out(pressure(cfg)))}{unit}")
     else:
         tensor = brown_maclay_tensor(cfg, flip_transverse_y=args.flip_transverse_y)
         # converted before the first line is printed, so an underflow leaves no partial output
-        rows = [[units.energy_like_to_output(v) for v in row] for row in tensor.components]
-        trace = units.energy_like_to_output(tensor.trace())
-        label = _unit_label(units, "energy-density")
-        print(f"vacuum stress tensor T^(mu nu){', ' + label.strip() if label else ''}:")
+        rows = [[out(v) for v in row] for row in tensor.components]
+        trace = out(tensor.trace())
+        print(f"vacuum stress tensor T^(mu nu){',' + unit if unit else ''}:")
         for row in rows:
             print("  " + "  ".join(f"{v:>22.15g}" for v in row))
         print(f"trace (eta_mn T^mn) = {_fmt(trace)}")
@@ -114,10 +102,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_gravity(args: argparse.Namespace) -> int:
-    units = _units_from(args)
-    out = units.energy_like_to_output
-    per_area = _unit_label(units, "pressure")
-    g_nat = units.gravity_to_natural(args.g)
+    if args.units == "si":
+        out, g_nat, energy, per_area = energy_like_to_si, gravity_to_natural(args.g), " J", " Pa"
+    else:
+        out, g_nat, energy, per_area = _natural, args.g, "", ""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RegimeWarning)
         app = PlateApparatus(args.a, args.L, args.xi0, args.alpha, args.polarizations)
@@ -133,7 +121,7 @@ def _cmd_gravity(args: argparse.Namespace) -> int:
             delta_e = closed
     # every value is computed before the first line is printed, so a result
     # that overflows leaves no partial output
-    lines = [f"Delta E_g ({args.method}) = {_fmt(out(delta_e))}{_unit_label(units, 'energy')}"]
+    lines = [f"Delta E_g ({args.method}) = {_fmt(out(delta_e))}{energy}"]
     if args.method == "quadrature" and closed == 0:  # a relative gap to 0 reads as 1 on noise
         lines.append(f"absolute discrepancy vs closed form (exactly 0) = {abs(delta_e):.3e}")
     elif args.method == "quadrature":

@@ -108,7 +108,8 @@ class SeriesResult(FrozenValue):
     Results combine only through :meth:`scaled` and ``+``: a constant
     factor c gives (c value, |c| bound, terms), and a sum adds values,
     bounds and terms. A result is always finite: a value or bound that
-    leaves the double range raises :class:`DomainError` on construction.
+    leaves the double range, or a ``terms_used`` that is not an integer,
+    raises :class:`DomainError` on construction.
     """
 
     __slots__ = ("value", "error_bound", "terms_used")
@@ -118,6 +119,7 @@ class SeriesResult(FrozenValue):
         check_finite(error_bound, "error bound")
         if error_bound < 0:
             raise DomainError("error_bound must be non-negative")
+        terms_used = check_integer(terms_used, "terms_used")
         if terms_used < 1:
             raise DomainError("terms_used must be a positive integer")
         object.__setattr__(self, "value", value)
@@ -324,8 +326,12 @@ def tail_bounded_power_sum(p: float, scale: float, n_terms: int) -> SeriesResult
     n_terms = check_integer(n_terms, "n_terms")
     if n_terms < 1:
         raise DomainError("n_terms must be a positive integer")
+    try:
+        bound = abs(scale) / ((p - 1.0) * n_terms ** (p - 1.0))
+    except OverflowError:
+        raise DomainError(f"n_terms^(p - 1) in the tail bound overflows the double range "
+                          f"for p = {p}, n_terms = {n_terms}") from None
     value = scale * math.fsum(n ** -p for n in range(1, n_terms + 1))
-    bound = abs(scale) / ((p - 1.0) * n_terms ** (p - 1.0))
     return SeriesResult(value, bound, n_terms)
 
 

@@ -47,6 +47,9 @@ _BERNOULLI_EVEN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)
 
 DEFAULT_IMAGE_TERMS = 10_000
 MAX_IMAGE_TERMS = 10**6  # its tail bound 1/(3 N^3) is below 1/600 ulp of zeta(4)
+# the Abel-Plana integrand is zero past t = 700/(2 pi) ~ 111.4, and 111.4^p
+# stays below the largest double up to p = 150
+MAX_ABEL_PLANA_EXPONENT = 150
 
 
 class SchemeKind(Enum):
@@ -104,10 +107,12 @@ def abel_plana_regularized_power_sum(
 
     Even p gives exactly zero; the sine is resolved from p mod 4 so no
     floating-point cancellation enters; that exact zero counts as one term.
+    At most MAX_ABEL_PLANA_EXPONENT, past which t^p overflows.
     """
     p = check_integer(p, "exponent")
-    if p < 1:
-        raise DomainError(f"exponent must be a positive integer, got {p}")
+    if not 1 <= p <= MAX_ABEL_PLANA_EXPONENT:
+        raise DomainError(f"exponent must be an integer in [1, {MAX_ABEL_PLANA_EXPONENT}], "
+                          f"got {p}")
     if p % 2 == 0:
         return SeriesResult(0.0, 0.0, 1)
     sign = 1.0 if p % 4 == 1 else -1.0

@@ -1,11 +1,12 @@
-"""Natural <-> SI unit conversion, used by the command-line layer only.
+"""Natural -> SI unit conversion, used by the command-line layer only.
 
 Internally everything is computed in natural units (hbar = c = 1) with
 lengths in meters, so every energy-like quantity is a power of inverse
 length: Delta E [1/m], E/A [1/m^3], energy density and pressure [1/m^4].
-Multiplying by hbar*c (J m) restores joule-based SI values with the same
-powers of meters; a gravitational acceleration converts through g/c^2. A
-conversion that turns a non-zero value into a subnormal or zero raises
+:func:`energy_like_to_si` multiplies by hbar*c (J m) to restore joule-based
+SI values with the same powers of meters; :func:`gravity_to_natural` turns a
+gravitational acceleration into inverse length through g/c^2. A conversion
+that turns a non-zero value into a subnormal or zero raises
 :class:`DomainError` (through :func:`errors.check_normal`).
 """
 
@@ -13,11 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from enum import Enum
 
-from .errors import FrozenValue, check_normal
+from .errors import check_normal
 
-__all__ = ["HBAR", "C_LIGHT", "HBAR_C", "UnitKind", "UnitSystem"]
+__all__ = ["HBAR", "C_LIGHT", "HBAR_C", "energy_like_to_si", "gravity_to_natural"]
 
 # CODATA 2018: exact defined values
 HBAR = 1.054571817e-34  # J s
@@ -29,42 +29,18 @@ HBAR_C = HBAR * C_LIGHT  # J m
 _RESCALE = 128
 
 
-class UnitKind(Enum):
-    NATURAL = "natural"
-    SI = "si"
+def energy_like_to_si(value_natural: float) -> float:
+    """Any (1/length)^k quantity times hbar*c, in joules and meters."""
+    partial = value_natural * HBAR
+    if abs(partial) < sys.float_info.min:
+        # a subnormal value * hbar has lost digits; rescaling by a power of
+        # two is exact, so this rounds as the normal range does
+        si = math.ldexp(math.ldexp(value_natural, _RESCALE) * HBAR * C_LIGHT, -_RESCALE)
+    else:
+        si = partial * C_LIGHT
+    return check_normal(si, "SI value", value_natural)
 
 
-class UnitSystem(FrozenValue):
-    """Output unit system of the command line, on the CODATA constants.
-
-    Natural units pass values through unchanged. SI multiplies energy-like
-    outputs by hbar*c and divides an input acceleration by c^2.
-    """
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: UnitKind) -> None:
-        object.__setattr__(self, "kind", kind)
-
-    @property
-    def is_si(self) -> bool:
-        return self.kind is UnitKind.SI
-
-    def energy_like_to_output(self, value_natural: float) -> float:
-        """Convert any (1/length)^k quantity to the output system."""
-        if not self.is_si:
-            return value_natural
-        partial = value_natural * HBAR
-        if abs(partial) < sys.float_info.min:
-            # a subnormal value * hbar has lost digits; rescaling by a power of
-            # two is exact, so this rounds as the normal range does
-            si = math.ldexp(math.ldexp(value_natural, _RESCALE) * HBAR * C_LIGHT, -_RESCALE)
-        else:
-            si = partial * C_LIGHT
-        return check_normal(si, "SI value", value_natural)
-
-    def gravity_to_natural(self, g_input: float) -> float:
-        """SI input is an acceleration (m/s^2); natural is inverse length."""
-        if not self.is_si:
-            return g_input
-        return check_normal(g_input / C_LIGHT ** 2, "g in natural units", g_input)
+def gravity_to_natural(g_si: float) -> float:
+    """An acceleration in m/s^2 as inverse length, g / c^2."""
+    return check_normal(g_si / C_LIGHT ** 2, "g in natural units", g_si)

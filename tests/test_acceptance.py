@@ -27,7 +27,7 @@ from casimirgrav.regularization import (
     energy_density_image_sum,
     riemann_zeta,
 )
-from casimirgrav.units import UnitKind, UnitSystem
+from casimirgrav.units import energy_like_to_si
 from casimirgrav.weakfield import (
     PlateApparatus,
     WeakField,
@@ -244,8 +244,7 @@ def test_criterion_11_figure_properties():
 
 
 def test_criterion_12_si_pressure_sanity():
-    si = UnitSystem(UnitKind.SI)
-    value = si.energy_like_to_output(pressure(CavityConfig(1e-6, 2)))
+    value = energy_like_to_si(pressure(CavityConfig(1e-6, 2)))
     reference = -1.30013e-3  # pi^2 hbar c / 240 * 1e24, constants looked up independently
     rel = abs(value - reference) / abs(reference)
     _report(12, "SI pressure at L = 1 um equals -pi^2 hbar c/240 x 1e24 Pa within 0.1%",

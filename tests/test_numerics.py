@@ -269,12 +269,14 @@ def test_series_result_add():
     assert total == SeriesResult(-3.0, 0.75, 8)
 
 
-@pytest.mark.parametrize("value, bound", [
-    (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.inf), (1.0, math.nan),
-])
-def test_series_result_must_be_finite(value, bound):
+@pytest.mark.parametrize("value, bound, terms_used", [
+    (math.nan, 0.0, 1), (math.inf, 0.0, 1), (-math.inf, 0.0, 1), (1.0, math.inf, 1),
+    (1.0, math.nan, 1), (1.0, 0.0, 2.5), (1.0, 0.0, math.nan),
+], ids=["nan-0.0", "inf-0.0", "-inf-0.0", "1.0-inf", "1.0-nan", "terms-2.5", "terms-nan"])
+def test_series_result_must_be_finite(value, bound, terms_used):
+    # a finite value and bound, and an integer count of work
     with pytest.raises(DomainError):
-        SeriesResult(value, bound, 1)
+        SeriesResult(value, bound, terms_used)
 
 
 def test_series_result_combination_past_double_range_raises():
@@ -349,6 +351,14 @@ def test_tail_sum_zero_scale():
     assert res.value == 0.0
     assert res.error_bound == 0.0
     assert res.terms_used == 17
+
+
+def test_tail_sum_bound_past_double_range_raises():
+    # n_terms^(p - 1) overflows; the message names both inputs
+    with pytest.raises(DomainError, match=r"p = 60\.0, n_terms = 1000000"):
+        tail_bounded_power_sum(60.0, 1.0, 10**6)
+    with pytest.raises(DomainError, match=r"p = 400\.0, n_terms = 10\b"):
+        tail_bounded_power_sum(400.0, 1.0, 10)
 
 
 def test_tail_sum_divergent():

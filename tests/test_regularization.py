@@ -120,6 +120,17 @@ def test_abel_plana_rejects_nonpositive_exponent():
         abel_plana_regularized_power_sum(0)
 
 
+def test_abel_plana_exponent_cap():
+    # past t = 700/(2 pi) the integrand is zero, and t^p stays finite up to p = 150
+    assert regularization.MAX_ABEL_PLANA_EXPONENT == 150
+    with mpmath.workdps(30):
+        exact = -2 * mpmath.gamma(150) * mpmath.zeta(150) / (2 * mpmath.pi) ** 150
+    assert abel_plana_regularized_power_sum(149).value == pytest.approx(float(exact), rel=1e-12)
+    for p in (151, 152, 153):
+        with pytest.raises(DomainError, match=r"\[1, 150\]"):
+            abel_plana_regularized_power_sum(p)
+
+
 @pytest.mark.parametrize("call", [
     lambda n: abel_plana_regularized_power_sum(n),
     lambda n: tail_bounded_power_sum(4.0, 1.0, n),

@@ -17,8 +17,6 @@ from casimirgrav import (
     SeriesResult,
     SpacetimePoint,
     StressTensor,
-    UnitKind,
-    UnitSystem,
     WeakField,
 )
 from casimirgrav.figures import FigureData, FigureSpec
@@ -42,7 +40,6 @@ VALUES = [
      ("energy_per_area", "max_relative_discrepancy"),
      "SchemeComparison(energy_per_area={<SchemeKind.ZETA_CLOSED_FORM: 'zeta'>: "
      "SeriesResult(value=-1.0, error_bound=0.0, terms_used=50)}, max_relative_discrepancy=0.0)"),
-    (lambda: UnitSystem(kind=UnitKind.SI), ("kind",), "UnitSystem(kind=<UnitKind.SI: 'si'>)"),
     (lambda: PlateApparatus(a=1.0, L=0.1, alpha=-1.0), ("a", "L", "xi0", "alpha", "polarizations"),
      "PlateApparatus(a=1.0, L=0.1, xi0=0.0, alpha=5.283185307179586, polarizations=2)"),
     (lambda: WeakField(), ("g",), "WeakField(g=0.0)"),
