@@ -100,15 +100,30 @@ class SpacetimePoint(FrozenValue):
             raise GeometryError(f"spacetime coordinates must be finite, got {self}")
 
 
+# The closed forms as plain float kernels, each formula written once: the
+# public functions below and the figure sweeps both call them. They check
+# nothing; callers pass an L that check_geometry accepts.
+def _energy_density(L: float) -> float:
+    return -(math.pi ** 2) / (1440.0 * L ** 4)
+
+
+def _energy_per_area(L: float, polarizations: int) -> float:
+    return polarizations * (-(math.pi ** 2) / (1440.0 * L ** 3))
+
+
+def _pressure(L: float, polarizations: int) -> float:
+    return 3.0 * (_energy_per_area(L, polarizations) / L)
+
+
 def energy_density(L: float) -> float:
     """Renormalized vacuum energy density -pi^2/(1440 L^4), one polarization."""
     check_geometry(L)
-    return -(math.pi ** 2) / (1440.0 * L ** 4)
+    return _energy_density(L)
 
 
 def energy_per_area(cfg: CavityConfig) -> float:
     """Casimir energy per unit plate area; -pi^2/(720 L^3) for the EM field."""
-    return cfg.polarizations * (-(math.pi ** 2) / (1440.0 * cfg.L ** 3))
+    return _energy_per_area(cfg.L, cfg.polarizations)
 
 
 def pressure(cfg: CavityConfig) -> float:
@@ -117,7 +132,7 @@ def pressure(cfg: CavityConfig) -> float:
     Negative sign means attraction. Computed as 3 E/(A L) so that the 3-3
     stress component built from the same expression matches bit for bit.
     """
-    return 3.0 * (energy_per_area(cfg) / cfg.L)
+    return _pressure(cfg.L, cfg.polarizations)
 
 
 def brown_maclay_tensor(cfg: CavityConfig, flip_transverse_y: bool = False) -> StressTensor:

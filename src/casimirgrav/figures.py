@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .cavity import CavityConfig, check_geometry, energy_density, energy_per_area, pressure
-from .errors import DomainError, FrozenValue, check_integer, check_normal
-from .weakfield import WeakField, delta_force_per_area, fermi_force_per_area
+from .cavity import _energy_density, _energy_per_area, _pressure, check_geometry
+# unused here, but bench/tracing.py wraps them on this module and fails without them
+from .cavity import CavityConfig, energy_density, energy_per_area, pressure
+from .errors import DomainError, FrozenValue, check_finite, check_integer, check_normal
+from .weakfield import WeakField
 
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
@@ -75,7 +77,7 @@ class FigureSpec(FrozenValue):
         object.__setattr__(self, "A_max", A_max)
         object.__setattr__(self, "A_list", A_list)
         object.__setattr__(self, "L_list", L_list)
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", WeakField(g).g)  # GeometryError unless finite, >= 0
         object.__setattr__(self, "polarizations", polarizations)
 
 
@@ -123,57 +125,54 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 def figure_series(spec: FigureSpec) -> FigureData:
     """Evaluate the sweep for ``spec`` as one list of Python floats per column,
-    without numpy. A separation sweep builds one :class:`CavityConfig` per
-    point from a Python float and derives every column from it, so each cell
-    is the scalar closed form; figures 4 and 5 multiply the force change per
-    area by each plate area. Raises :class:`DomainError` if any cell leaves the
-    double range, or if a figure 4 or 5 product falls below the normal range
-    while g is not zero."""
-    field_g = WeakField(spec.g)
-    pol = spec.polarizations
+    without numpy, from the closed forms' float kernels: :class:`FigureSpec` has
+    checked every separation and g, so no per-point object is built. Figures 4
+    and 5 multiply Delta F / A = g E_C by each plate area. Each column is checked
+    once, raising :class:`DomainError` as the closed forms do on its first bad cell."""
+    g, pol = spec.g, spec.polarizations
     meta = [
         f"figure {spec.fig_id}: {FIGURE_TITLES[spec.fig_id]}",
         "natural units (hbar = c = 1); parameter defaults are artifact choices",
         f"g={spec.g:g} polarizations={pol}",
     ]
 
-    products: list[list[float]] = []  # the figure 4 and 5 columns
     if spec.fig_id == 5:
         x = _linspace(spec.A_min, spec.A_max, spec.points)
-        slopes = [delta_force_per_area(field_g, CavityConfig(L, pol)) for L in spec.L_list]
-        names = ["A"] + [f"delta_force[L={L:g}]" for L in spec.L_list]
         sweep = (f"A_min={spec.A_min:g} A_max={spec.A_max:g} points={spec.points} "
                  f"L_list={','.join(f'{l:g}' for l in spec.L_list)}")
-        cols = products = [[area * s for area in x] for s in slopes]
     else:
         x = _linspace(spec.L_min, spec.L_max, spec.points)
         sweep = f"L_min={spec.L_min:g} L_max={spec.L_max:g} points={spec.points}"
-        configs = (CavityConfig(l, pol) for l in x)
-        if spec.fig_id == 1:  # the energy density is per polarization: no configuration
-            names, cols = ["L", "energy_density"], [[energy_density(l) for l in x]]
-        elif spec.fig_id == 2:
-            names, cols = ["L", "pressure"], [[pressure(c) for c in configs]]
-        elif spec.fig_id == 3:
-            names, cols = ["L", "energy_per_area"], [[energy_per_area(c) for c in configs]]
-        elif spec.fig_id == 4:
-            names = ["L"] + [f"delta_force[A={area:g}]" for area in spec.A_list]
-            delta = [delta_force_per_area(field_g, c) for c in configs]
-            cols = products = [[area * d for d in delta] for area in spec.A_list]
-            sweep += f" A_list={','.join(f'{a:g}' for a in spec.A_list)}"
-        else:
-            names = ["L", "delta_force_per_area", "fermi_force_per_area"]
-            cols = [[], []]
-            for c in configs:
-                cols[0].append(delta_force_per_area(field_g, c))
-                cols[1].append(fermi_force_per_area(field_g, c))
-    series = [x, *cols]
-    what = f"figure {spec.fig_id}"
+    if spec.fig_id >= 4:
+        delta = [g * _energy_per_area(l, pol) for l in (spec.L_list if spec.fig_id == 5 else x)]
+        # Over [L_MIN, L_MAX] a g E_C column spans at most 450 decades, the double range
+        # 616: it never both overflows and underflows, so its extremes give the first error.
+        check_normal(max(map(abs, delta)), "Delta F / A", g)
+        check_normal(min(map(abs, delta)), "Delta F / A", g)
+    products: list[list[float]] = []  # the figure 4 and 5 columns
+    if spec.fig_id == 1:  # the energy density is per polarization
+        names, cols = ["L", "energy_density"], [[_energy_density(l) for l in x]]
+    elif spec.fig_id == 2:
+        names, cols = ["L", "pressure"], [[_pressure(l, pol) for l in x]]
+    elif spec.fig_id == 3:
+        names, cols = ["L", "energy_per_area"], [[_energy_per_area(l, pol) for l in x]]
+    elif spec.fig_id == 4:
+        names = ["L"] + [f"delta_force[A={area:g}]" for area in spec.A_list]
+        cols = products = [[area * d for d in delta] for area in spec.A_list]
+        sweep += f" A_list={','.join(f'{a:g}' for a in spec.A_list)}"
+    elif spec.fig_id == 5:
+        names = ["A"] + [f"delta_force[L={L:g}]" for L in spec.L_list]
+        cols = products = [[area * s for area in x] for s in delta]
+    else:  # F^F / A = F^I / A + Delta F / A, summed as fermi_force_per_area sums it
+        names = ["L", "delta_force_per_area", "fermi_force_per_area"]
+        check_finite(-2.0 * max(map(abs, delta)), "F_iso / A")  # F^I / A = -2 Delta F / A
+        cols = [delta, [-2.0 * d + d for d in delta]]
     # a product that overflows is inf (Python float products do not raise)
-    if not all(all(map(math.isfinite, col)) for col in series):
-        raise DomainError(f"{what} overflows the double range for these inputs")
+    if not all(all(map(math.isfinite, col)) for col in products):
+        raise DomainError(f"figure {spec.fig_id} overflows the double range for these inputs")
     for col in products:
-        check_normal(min(map(abs, col)), what, spec.g)
-    return FigureData(names, series, meta + [sweep])
+        check_normal(min(map(abs, col)), f"figure {spec.fig_id}", g)
+    return FigureData(names, [x, *cols], meta + [sweep])
 
 
 _BLOCK_ROWS = 4096  # rows per format call: one call per cell is slow, one per table is large

@@ -322,6 +322,7 @@ def test_non_finite_sweep_or_gravity_exits_2(argv, tmp_path, capsys):
     ["gravity", "--L", "1e-75", "--a", "1e-70", "--xi0", "1e-300", "--g", "1e85"],
     ["figure", "--id", "4", "--A-list", "1e308", "--Lmin", "0.01", "--Lmax", "0.02"],
     ["figure", "--id", "5", "--Amin", "1e307", "--Amax", "1e308", "--g", "1e10"],
+    ["figure", "--id", "5", "--Amax", "1e308", "--L-list", "0.01"],
     ["figure", "--id", "6", "--g", "1e308", "--Lmin", "1e-75", "--Lmax", "1e-74"],
 ])
 def test_finite_inputs_with_overflowing_results_exit_2(argv, tmp_path, capsys):
@@ -333,6 +334,22 @@ def test_finite_inputs_with_overflowing_results_exit_2(argv, tmp_path, capsys):
     assert captured.err.startswith("error:")
     assert captured.out == ""
     assert not re.search(r"\b(inf|nan)\b", captured.err, re.IGNORECASE)
+    assert not out_file.exists()
+
+
+# the first quantity that leaves the double range names the error, as in the closed forms
+@pytest.mark.parametrize("argv, quantity", [
+    (["--id", "4", "--g", "1e308", "--Lmin", "0.1"], "Delta F / A overflows"),
+    (["--id", "6", "--g", "1e308", "--Lmin", "0.2"], "F_iso / A overflows"),
+    (["--id", "5", "--g", "1e-310"], "Delta F / A underflows"),
+    (["--id", "4", "--g", "1e308", "--Lmin", "0.2"], "figure 4 overflows"),
+])
+def test_figure_range_errors_name_the_first_quantity(argv, quantity, tmp_path, capsys):
+    out_file = tmp_path / "fig.csv"
+    assert main(["figure", *argv, "--out", str(out_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {quantity} the double range for these inputs\n"
+    assert captured.out == ""
     assert not out_file.exists()
 
 

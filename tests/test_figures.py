@@ -16,7 +16,7 @@ from casimirgrav.figures import (
     write_csv,
     write_json,
 )
-from casimirgrav.weakfield import WeakField, delta_force_per_area
+from casimirgrav.weakfield import WeakField, delta_force_per_area, fermi_force_per_area
 
 
 def _loglog_slope(x, y):
@@ -43,7 +43,7 @@ def test_figure_4_columns():
     for j, area in enumerate((1.0, 2.0, 4.0), start=1):
         assert _loglog_slope(L, data.rows[:, j]) == pytest.approx(-3.0, abs=1e-6)
         expected = [area * delta_force_per_area(WeakField(1.0), CavityConfig(l, 2)) for l in L]
-        np.testing.assert_allclose(data.rows[:, j], expected, rtol=1e-14)
+        np.testing.assert_array_equal(data.rows[:, j], expected)
 
 
 def test_figure_5_exact_linearity():
@@ -52,10 +52,41 @@ def test_figure_5_exact_linearity():
     A = data.rows[:, 0]
     for j, L in enumerate((0.5, 1.0, 2.0), start=1):
         slope = delta_force_per_area(WeakField(1.0), CavityConfig(L, 2))
-        np.testing.assert_allclose(data.rows[:, j], A * slope, rtol=1e-15)
+        np.testing.assert_array_equal(data.rows[:, j], A * slope)
         fit = np.polyfit(A, data.rows[:, j], 1)
         assert fit[0] == pytest.approx(slope, rel=1e-12)
         assert abs(fit[1]) <= 1e-15 * abs(slope)
+
+
+# the default, one polarization, g = 0, and sweeps that end at each end of [L_MIN, L_MAX]
+EXACT_SPECS = [{}, {"polarizations": 1}, {"g": 0.0},
+               {"L_min": 1e-75, "L_max": 1e-74, "L_list": (1e-75, 3e-75, 1e-74)},
+               {"L_min": 1e74, "L_max": 1e75, "L_list": (1e74, 3e74, 1e75)}]
+
+
+@pytest.mark.parametrize("fig_id", range(1, 7))
+@pytest.mark.parametrize("kwargs", EXACT_SPECS, ids=repr)
+def test_figure_columns_are_the_public_closed_forms_bit_for_bit(fig_id, kwargs):
+    spec = FigureSpec(fig_id, points=50, **kwargs)
+    data = figure_series(spec)
+    x, pol, field = data.series[0], spec.polarizations, WeakField(spec.g)
+    if fig_id == 1:
+        expected = [[energy_density(l) for l in x]]
+    elif fig_id in (2, 3):
+        closed_form = pressure if fig_id == 2 else energy_per_area
+        expected = [[closed_form(CavityConfig(l, pol)) for l in x]]
+    elif fig_id == 4:
+        delta = [delta_force_per_area(field, CavityConfig(l, pol)) for l in x]
+        expected = [[area * d for d in delta] for area in spec.A_list]
+    elif fig_id == 5:
+        expected = [[area * delta_force_per_area(field, CavityConfig(L, pol)) for area in x]
+                    for L in spec.L_list]
+    else:
+        configs = [CavityConfig(l, pol) for l in x]
+        expected = [[delta_force_per_area(field, c) for c in configs],
+                    [fermi_force_per_area(field, c) for c in configs]]
+    assert [list(map(float.hex, col)) for col in data.series[1:]] == [
+        list(map(float.hex, col)) for col in expected]
 
 
 def test_figure_6_sign_relation():
@@ -84,6 +115,9 @@ def test_figure_spec_validation():
     for lists in ({"A_list": ()}, {"A_list": []}, {"L_list": ()}):
         with pytest.raises(DomainError, match="at least one value"):
             FigureSpec(5, **lists)
+    for g in (-1.0, math.nan, math.inf):
+        with pytest.raises(GeometryError, match="field order parameter must be finite and >= 0"):
+            FigureSpec(2, g=g)
 
 
 @pytest.mark.parametrize("fig_id", range(1, 7))
