@@ -19,7 +19,7 @@ import heapq
 import math
 import sys
 from functools import lru_cache
-from itertools import product, starmap
+from itertools import count, product, repeat, starmap
 from typing import Callable, Sequence
 
 from .errors import (ConvergenceError, DivergentSeriesError, DomainError, FrozenValue,
@@ -317,6 +317,9 @@ def central_diff(f: Callable[[float], float], x: float, h: float | None = None) 
 def tail_bounded_power_sum(p: float, scale: float, n_terms: int) -> SeriesResult:
     """Partial sum ``sum_{n=1}^{N} scale / n^p`` with an integral tail bound.
 
+    The terms are exactly the doubles ``n ** -p``: ``math.pow`` over a float
+    counter (exact up to 2^53) ends in the same C library ``pow``, with no
+    Python frame per term, and ``math.fsum`` rounds their sum correctly.
     The bound ``|scale| / ((p-1) N^{p-1})`` dominates the omitted tail by
     the integral comparison test, so ``error_bound`` is rigorous for the
     limit ``scale * zeta(p)``. ``n_terms`` must be an integer.
@@ -331,13 +334,20 @@ def tail_bounded_power_sum(p: float, scale: float, n_terms: int) -> SeriesResult
     except OverflowError:
         raise DomainError(f"n_terms^(p - 1) in the tail bound overflows the double range "
                           f"for p = {p}, n_terms = {n_terms}") from None
-    value = scale * math.fsum(n ** -p for n in range(1, n_terms + 1))
+    value = scale * math.fsum(map(math.pow, count(1.0), repeat(-p, n_terms)))
     return SeriesResult(value, bound, n_terms)
 
 
 def relative_discrepancy(values: Sequence[float]) -> float:
     """Largest pairwise ``|a - b|`` over ``values``, relative to the largest
-    magnitude among them; 0 when every value is zero."""
-    scale = max(abs(v) for v in values)
-    spread = max(abs(a - b) for a in values for b in values)
-    return spread / scale if scale > 0 else 0.0
+    magnitude among them; 0 when every value is zero.
+
+    Rounding is monotone, so the largest rounded difference is the rounded
+    ``max - min``. Raises :class:`DomainError` on an empty sequence or a
+    NaN or infinite value, which have no discrepancy to report.
+    """
+    if len(values) == 0 or not all(map(math.isfinite, values)):
+        raise DomainError(f"relative_discrepancy needs one or more finite values, got {values!r}")
+    hi, lo = max(values), min(values)
+    scale = max(hi, -lo)
+    return (hi - lo) / scale if scale > 0 else 0.0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import count, repeat
 
 from .cavity import check_geometry
 from .errors import CasimirError, DomainError, FrozenValue, check_integer
@@ -73,7 +74,7 @@ def riemann_zeta(s: float) -> float:
     if s >= 54.0:
         return 1.0
     n = _ZETA_TERMS
-    total = math.fsum(k ** -s for k in range(1, n + 1))
+    total = math.fsum(map(math.pow, count(1.0), repeat(-s, n)))
     total += n ** (1.0 - s) / (s - 1.0) - 0.5 * n ** -s
     pochhammer = s
     for k, b2k in enumerate(_BERNOULLI_EVEN, start=1):

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import mpmath
@@ -18,7 +19,7 @@ from casimirgrav.numerics import (
     relative_discrepancy,
     tail_bounded_power_sum,
 )
-from casimirgrav.regularization import abel_plana_regularized_power_sum
+from casimirgrav.regularization import abel_plana_regularized_power_sum, riemann_zeta
 from casimirgrav.weakfield import PlateApparatus, WeakField, delta_energy_quadrature
 
 
@@ -294,6 +295,28 @@ def test_relative_discrepancy():
     assert relative_discrepancy([0.0, -0.0, 0.0]) == 0.0
 
 
+@pytest.mark.parametrize("values", [[], [math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+def test_relative_discrepancy_rejects_empty_and_non_finite(values):
+    # [nan, 1.0] read 0.0 (perfect agreement) and [inf, 1.0] read nan
+    with pytest.raises(DomainError, match="one or more finite values"):
+        relative_discrepancy(values)
+
+
+def test_relative_discrepancy_is_the_pairwise_formula_bit_for_bit():
+    rng = random.Random(7)
+    draws = [[1.7e308, -1.7e308]]  # the spread overflows in both formulas
+    for _ in range(2000):
+        base = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 307.0)
+        draws.append([rng.choice((base * (1.0 + rng.uniform(-1e-12, 1e-12)), -base, 0.0, -0.0,
+                                  rng.uniform(-2.0, 2.0) * base))
+                      for _ in range(rng.randint(1, 6))])
+    for values in draws:
+        scale = max(abs(v) for v in values)
+        spread = max(abs(a - b) for a in values for b in values)
+        want = spread / scale if scale > 0 else 0.0
+        assert relative_discrepancy(values).hex() == want.hex(), values
+
+
 def test_central_diff_quadratic_exact():
     for h in (1.0, 0.1, 1e-4):
         assert central_diff(lambda x: x * x, 3.0, h) == pytest.approx(6.0, rel=1e-10)
@@ -366,6 +389,31 @@ def test_tail_sum_divergent():
         tail_bounded_power_sum(1.0, 1.0, 10)
     with pytest.raises(DivergentSeriesError):
         tail_bounded_power_sum(0.5, 1.0, 10)
+
+
+def _zeta_from_a_generator(s):
+    """``riemann_zeta`` with its partial sum written as a generator of ``k ** -s``."""
+    n = 50
+    total = math.fsum(k ** -s for k in range(1, n + 1))
+    total += n ** (1.0 - s) / (s - 1.0) - 0.5 * n ** -s
+    pochhammer = s
+    for k, b2k in enumerate((1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0), start=1):
+        total += b2k / math.factorial(2 * k) * pochhammer * n ** (-s - 2 * k + 1)
+        pochhammer *= (s + 2 * k - 1) * (s + 2 * k)
+    return total
+
+
+def test_tail_sum_is_the_fsum_of_the_same_terms():
+    # the terms are exactly n ** -p, subnormal (p = 1024.5) and zero (p = inf)
+    # ones included, and fsum rounds their sum correctly
+    scale = -1.0 / (16.0 * math.pi ** 2)
+    cases = [(p, n) for p in (1.0001, math.pi, 4.0, 12.0)
+             for n in (1, 2, 9741, 9742, 10**4, 10**5, 10**6)]
+    for p, n in cases + [(300.0, 2), (1024.5, 2), (math.inf, 2)]:
+        want = scale * math.fsum(k ** -p for k in range(1, n + 1))
+        assert tail_bounded_power_sum(p, scale, n).value.hex() == want.hex(), (p, n)
+    for s in [1.0 + k / 16.0 for k in range(1, 848)]:
+        assert riemann_zeta(s).hex() == _zeta_from_a_generator(s).hex(), s
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0])
