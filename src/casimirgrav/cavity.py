@@ -37,6 +37,8 @@ L_MIN, L_MAX = 1e-75, 1e75
 # |(x - x')^2| at most this fraction of dt^2 + |dx|^2 is on the light cone
 _LIGHT_CONE_REL_TOL = 1e-12
 
+_PI_SQUARED = math.pi ** 2
+
 
 def check_geometry(L: float, polarizations: int = 1, a: float | None = None) -> None:
     """Raise :class:`GeometryError` unless the plate geometry is physical.
@@ -104,11 +106,11 @@ class SpacetimePoint(FrozenValue):
 # public functions below and the figure sweeps both call them. They check
 # nothing; callers pass an L that check_geometry accepts.
 def _energy_density(L: float) -> float:
-    return -(math.pi ** 2) / (1440.0 * L ** 4)
+    return -_PI_SQUARED / (1440.0 * L ** 4)
 
 
 def _energy_per_area(L: float, polarizations: int) -> float:
-    return polarizations * (-(math.pi ** 2) / (1440.0 * L ** 3))
+    return polarizations * (-_PI_SQUARED / (1440.0 * L ** 3))
 
 
 def _pressure(L: float, polarizations: int) -> float:
@@ -168,4 +170,4 @@ def feynman_propagator(x: SpacetimePoint, x2: SpacetimePoint) -> float:
         raise LightConeError(
             f"propagator singular on the light cone: (x - x')^2 = {s2:.3e}"
         )
-    return check_normal(1.0 / (4.0 * math.pi ** 2 * s2), "propagator")
+    return check_normal(1.0 / (4.0 * _PI_SQUARED * s2), "propagator")

@@ -117,12 +117,13 @@ def abel_plana_regularized_power_sum(
     if p % 2 == 0:
         return SeriesResult(0.0, 0.0, 1)
     sign = 1.0 if p % 4 == 1 else -1.0
+    two_pi, expm1 = 2.0 * math.pi, math.expm1
 
     def branch_cut(t: float) -> float:
-        w = 2.0 * math.pi * t
+        w = two_pi * t
         if w > 700.0:  # e^w overflows a double; the term is < 1e-290 here
             return 0.0
-        return t ** p / math.expm1(w)
+        return t ** p / expm1(w)
 
     integral = integrate_1d(branch_cut, Interval(0.0, math.inf), quad)
     return integral.scaled(-2.0 * sign)

@@ -68,7 +68,10 @@ class PlateApparatus(FrozenValue):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "xi0", xi0)
-        object.__setattr__(self, "alpha", alpha % _TWO_PI)
+        alpha %= _TWO_PI
+        # a negative angle of size below half an ulp of 2 pi rounds up to
+        # 2 pi; 0 is in range and the nearer angle
+        object.__setattr__(self, "alpha", 0.0 if alpha == _TWO_PI else alpha)
         object.__setattr__(self, "polarizations", polarizations)
         if a < 10.0 * L:
             warnings.warn(
@@ -191,7 +194,11 @@ def delta_energy_quadrature(
     - (2 E_C/L)  int d(xi) d(eta)  (1/2) g (xi cos(a) + eta sin(a)) (-a)
 
     with eta, chi over [-a/2, a/2] and xi over [xi0 - L/2, xi0 + L/2].
-    This is the independent check of :func:`delta_energy_closed`.
+    This is the independent check of :func:`delta_energy_closed`. Products
+    of per-call constants are computed once, each as the left-most part of
+    the formula above read left to right, so every node gets the same
+    doubles as the literal integrands; term 1 is still integrated at every
+    node.
     """
     _warn_linearized_regime(app, field)
     e_c = energy_per_area(app.cavity())
@@ -201,16 +208,14 @@ def delta_energy_quadrature(
     a, L, xi0 = app.a, app.L, app.xi0
     transverse = Interval(-0.5 * a, 0.5 * a)
     normal = Interval(xi0 - 0.5 * L, xi0 + 0.5 * L)
+    # left-most parts of the left-to-right products above: regrouping changes bits
+    c1 = 0.25 * g * ca * (-2.0 * xi0 * L)
+    c2 = 0.5 * g * ca * (-a)
+    h, na = 0.5 * g, -a
 
-    term1 = integrate_nd(
-        lambda eta, chi: 0.25 * g * ca * (-2.0 * xi0 * L), [transverse, transverse], spec
-    )
-    term2 = integrate_nd(
-        lambda xi, chi: 0.5 * g * ca * (-a) * xi, [normal, transverse], spec
-    )
-    term3 = integrate_nd(
-        lambda xi, eta: 0.5 * g * (xi * ca + eta * sa) * (-a), [normal, transverse], spec
-    )
+    term1 = integrate_nd(lambda eta, chi: c1, [transverse, transverse], spec)
+    term2 = integrate_nd(lambda xi, chi: c2 * xi, [normal, transverse], spec)
+    term3 = integrate_nd(lambda xi, eta: h * (xi * ca + eta * sa) * na, [normal, transverse], spec)
 
     # terms 2 and 3 share their front factor, so they are summed before scaling
     return term1.scaled(6.0 * e_c / L) + (term2 + term3).scaled(-2.0 * e_c / L)

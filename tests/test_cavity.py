@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from casimirgrav.cavity import (
+    L_MAX,
+    L_MIN,
     CavityConfig,
     SpacetimePoint,
     brown_maclay_tensor,
@@ -22,6 +24,20 @@ def test_energy_density_value():
     assert energy_density(2.0) == pytest.approx(-(math.pi ** 2) / 1440.0 / 16.0, rel=1e-15)
     with pytest.raises(GeometryError):
         energy_density(0.0)
+
+
+def test_closed_forms_are_the_literal_formulas_bit_for_bit():
+    # 0.5-decade steps over the whole accepted range, plus both ends
+    for L in [L_MIN, L_MAX] + [10.0 ** (k / 2.0) for k in range(-150, 151)]:
+        assert energy_density(L).hex() == (-(math.pi ** 2) / (1440.0 * L ** 4)).hex(), L
+        for pol in (1, 2):
+            per_area = pol * (-(math.pi ** 2) / (1440.0 * L ** 3))
+            cfg = CavityConfig(L, pol)
+            assert energy_per_area(cfg).hex() == per_area.hex(), (L, pol)
+            assert pressure(cfg).hex() == (3.0 * (per_area / L)).hex(), (L, pol)
+    for r in [10.0 ** (k / 4.0) for k in range(-600, 601)]:
+        got = feynman_propagator(SpacetimePoint(), SpacetimePoint(x=r))
+        assert got.hex() == (1.0 / (4.0 * math.pi ** 2 * (r * r))).hex(), r
 
 
 def test_energy_density_matches_image_sum_within_tail_bound():

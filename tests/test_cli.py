@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from casimirgrav import cli
 from casimirgrav.cli import main
+from casimirgrav.errors import ConvergenceError
 from casimirgrav.units import HBAR_C
 
 
@@ -379,6 +381,30 @@ def test_figure_points_above_cap_exit_2(points, tmp_path, capsys):
 
 def test_figure_io_failure_exits_4(capsys):
     assert main(["figure", "--id", "1", "--out", "/no/such/dir/fig.csv"]) == 4
+
+
+# No known CLI input reaches exit 3; it guards against library failures, so
+# each command's library call is made to fail here.
+@pytest.mark.parametrize("exc", [ConvergenceError("no convergence within 40 splits"),
+                                 ZeroDivisionError("float division by zero"),
+                                 ValueError("math domain error")],
+                         ids=lambda exc: type(exc).__name__)
+@pytest.mark.parametrize("name, argv", [
+    ("riemann_zeta", ["zeta", "--s", "4"]),
+    ("delta_energy_quadrature", ["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5",
+                                 "--method", "quadrature"]),
+    ("compare_schemes", ["regularize", "--L", "1"]),
+])
+def test_library_failures_exit_3(name, argv, exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, name, fail)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert str(exc) in err
 
 
 def test_regularize_report(capsys):

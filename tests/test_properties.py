@@ -77,6 +77,14 @@ def test_energy_shift_and_force_chain_are_finite_or_rejected(a, L, xi0, alpha, g
 
 
 @_SETTINGS
+@given(finite)
+@example(-1e-20)  # rounds up to 2 pi under % 2 pi
+@example(-5e-324)
+def test_apparatus_tilt_is_stored_in_zero_to_two_pi(alpha):
+    assert 0.0 <= PlateApparatus(1.0, 0.01, 0.0, alpha).alpha < 2.0 * math.pi
+
+
+@_SETTINGS
 @given(non_negative, finite, finite, finite, finite)
 @example(1.0, 0.0, 1e200, 0.0, 1e200)  # g z x overflows; z^2 - x^2 is inf - inf
 @example(1e300, 0.0, 0.0, 0.0, 1e300)  # g z overflows

@@ -7,7 +7,7 @@ from scipy.special import zeta as scipy_zeta
 
 from casimirgrav import regularization
 from casimirgrav.errors import ConvergenceError, DomainError, GeometryError
-from casimirgrav.numerics import QuadratureSpec, tail_bounded_power_sum
+from casimirgrav.numerics import Interval, QuadratureSpec, integrate_1d, tail_bounded_power_sum
 from casimirgrav.regularization import (
     MAX_IMAGE_TERMS,
     SchemeKind,
@@ -113,6 +113,32 @@ def test_abel_plana_matches_gamma_zeta_closed_form(p):
     sign = 1.0 if p % 4 == 1 else -1.0
     closed = -2.0 * sign * math.gamma(p + 1) * riemann_zeta(p + 1) / (2.0 * math.pi) ** (p + 1)
     np.testing.assert_allclose(res.value, closed, rtol=1e-10)
+
+
+def _literal_abel_plana(p, quad):
+    """abel_plana_regularized_power_sum for odd p with the branch-cut
+    integrand written out in full at every node."""
+    sign = 1.0 if p % 4 == 1 else -1.0
+
+    def branch_cut(t):
+        w = 2.0 * math.pi * t
+        return 0.0 if w > 700.0 else t ** p / math.expm1(w)
+
+    return integrate_1d(branch_cut, Interval(0.0, math.inf), quad).scaled(-2.0 * sign)
+
+
+def test_abel_plana_is_the_literal_integrand_bit_for_bit():
+    def record(res):
+        return res.value.hex(), res.error_bound.hex(), res.terms_used
+
+    for tol in (1e-12, 1e-9, 1e-6, 1e-3):
+        quad = QuadratureSpec(tol)
+        for p in range(1, regularization.MAX_ABEL_PLANA_EXPONENT, 2):
+            got = abel_plana_regularized_power_sum(p, quad)
+            assert record(got) == record(_literal_abel_plana(p, quad)), (p, tol)
+        for L in (1e-70, 1e-8, 1.0, 3.7, 1e8, 1e70):
+            want = _literal_abel_plana(3, quad).scaled(-(math.pi ** 2) / (12.0 * L ** 3))
+            assert record(energy_per_area_abel_plana(L, quad)) == record(want), (L, tol)
 
 
 def test_abel_plana_rejects_nonpositive_exponent():

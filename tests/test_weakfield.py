@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from casimirgrav.cavity import CavityConfig, SpacetimePoint
+from casimirgrav.cavity import CavityConfig, SpacetimePoint, energy_per_area
 from casimirgrav.errors import DomainError, GeometryError, RegimeWarning
-from casimirgrav.numerics import QuadratureSpec
+from casimirgrav.numerics import Interval, QuadratureSpec, integrate_nd
 from casimirgrav.weakfield import (
     PlateApparatus,
     WeakField,
@@ -171,6 +171,58 @@ def test_delta_energy_grid_agreement():
                                 assert quad == pytest.approx(closed, rel=1e-6)
 
 
+def _literal_delta_energy_quadrature(app, field, spec):
+    """The three integrals of the delta_energy_quadrature docstring, each
+    integrand written out as there and integrated by integrate_nd."""
+    e_c = energy_per_area(app.cavity())
+    g = field.g
+    ca = math.cos(app.alpha)
+    sa = math.sin(app.alpha)
+    a, L, xi0 = app.a, app.L, app.xi0
+    transverse = Interval(-0.5 * a, 0.5 * a)
+    normal = Interval(xi0 - 0.5 * L, xi0 + 0.5 * L)
+    term1 = integrate_nd(
+        lambda eta, chi: 0.25 * g * ca * (-2.0 * xi0 * L), [transverse, transverse], spec
+    )
+    term2 = integrate_nd(lambda xi, chi: 0.5 * g * ca * (-a) * xi, [normal, transverse], spec)
+    term3 = integrate_nd(
+        lambda xi, eta: 0.5 * g * (xi * ca + eta * sa) * (-a), [normal, transverse], spec
+    )
+    return term1.scaled(6.0 * e_c / L) + (term2 + term3).scaled(-2.0 * e_c / L)
+
+
+def _energy_shift_draws():
+    """Seeded (a, L, xi0, alpha, g, tolerance) draws over the quadrature's edge cases."""
+    rng = np.random.default_rng(14)
+    half_pi = 0.5 * math.pi
+    edges = [(0.0, 0.3, 1e-3), (0.4, 0.0, 1e-3), (0.0, 0.0, 1e-3), (0.4, half_pi, 1e-3),
+             (0.4, math.nextafter(half_pi, 0.0), 1e-3), (0.4, half_pi + 1e-9, 1.0),
+             (0.4, 3.0 * half_pi, 1e-2), (-2.0, half_pi - 1e-12, 1e-6)]
+    draws = [(1.0, 0.05, xi0, alpha, g, 1e-10) for xi0, alpha, g in edges]
+    for _ in range(46):  # 100 draws in all
+        a = float(10.0 ** rng.uniform(-1, 2))
+        L = a * float(10.0 ** rng.uniform(-3, -1.1))
+        tol = float(10.0 ** rng.uniform(-12, -3))
+        alpha = float(rng.uniform(0.0, 2.0 * math.pi))
+        g = float(10.0 ** rng.uniform(-6, -2))
+        # |xi0 cos(alpha)| << a: term 3's eta sin(alpha) part cancels to far
+        # below its own size
+        draws.append((a, L, float(rng.uniform(-0.45, 0.45)) * L, alpha, g, tol))
+        draws.append((a, L, float(rng.uniform(-2.0, 2.0)) * a, alpha, g, tol))
+    return draws
+
+
+def test_quadrature_is_the_literal_integrands_bit_for_bit():
+    for a, L, xi0, alpha, g, tol in _energy_shift_draws():
+        app = _quiet_apparatus(a, L, xi0, alpha)
+        field = WeakField(g)
+        spec = QuadratureSpec(tol)
+        got = delta_energy_quadrature(app, field, spec)
+        want = _literal_delta_energy_quadrature(app, field, spec)
+        assert (got.value.hex(), got.error_bound.hex(), got.terms_used) == (
+            want.value.hex(), want.error_bound.hex(), want.terms_used), (a, L, xi0, alpha, g, tol)
+
+
 def test_force_chain_values():
     fld = WeakField(1.0)
     cfg = CavityConfig(1.0, 2)
@@ -254,6 +306,8 @@ def test_apparatus_validation_and_normalization():
         WeakField(-1.0)
     app = _quiet_apparatus(10.0, 0.1, alpha=2.0 * math.pi + 0.25)
     assert app.alpha == pytest.approx(0.25)
+    # -1e-20 % (2 pi) rounds up to 2 pi itself, whose sine is -2.4e-16
+    assert _quiet_apparatus(10.0, 0.1, alpha=-1e-20).alpha == 0.0
     assert app.area == 100.0
     tilted = _quiet_apparatus(10.0, 0.1, xi0=2.0, alpha=math.pi / 3)
     assert tilted.z0 == pytest.approx(1.0)
