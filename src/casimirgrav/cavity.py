@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import FrozenValue, GeometryError, LightConeError, check_finite, check_normal
+from .errors import (FrozenValue, GeometryError, LightConeError, check_finite, check_integer,
+                     check_normal)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,29 +41,34 @@ _LIGHT_CONE_REL_TOL = 1e-12
 _PI_SQUARED = math.pi ** 2
 
 
-def check_geometry(L: float, polarizations: int = 1, a: float | None = None) -> None:
-    """Raise :class:`GeometryError` unless the plate geometry is physical.
+def check_geometry(L: float, polarizations: int = 1, a: float | None = None) -> int:
+    """``polarizations`` as an ``int`` if the plate geometry is physical.
 
-    The one validator of plate geometry in the package: the plate side
+    The one validator of plate geometry in the package. ``polarizations``
+    must be an integer (a numpy integer is returned as ``int``), else
+    :class:`DomainError`. Then, else :class:`GeometryError`: the plate side
     ``a`` of an apparatus must satisfy 0 < a < inf, the separation ``L``
     must lie in [L_MIN, L_MAX] (NaN fails both), and ``polarizations``
     must be 1 (scalar) or 2 (EM).
     """
+    polarizations = check_integer(polarizations, "polarizations")
     if a is not None and not 0.0 < a < math.inf:
         raise GeometryError(f"plate side must be positive and finite, got {a}")
     if not L_MIN <= L <= L_MAX:
         raise GeometryError(f"plate separation must lie in [{L_MIN:g}, {L_MAX:g}], got {L}")
     if polarizations not in (1, 2):
         raise GeometryError(f"polarizations must be 1 (scalar) or 2 (EM), got {polarizations}")
+    return polarizations
 
 
 class CavityConfig(FrozenValue):
-    """Plate separation and polarization count (1 scalar, 2 electromagnetic)."""
+    """Plate separation and polarization count (1 scalar, 2 electromagnetic;
+    an integer, stored as ``int``)."""
 
     __slots__ = ("L", "polarizations")
 
     def __init__(self, L: float, polarizations: int = 2) -> None:
-        check_geometry(L, polarizations)
+        polarizations = check_geometry(L, polarizations)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "polarizations", polarizations)
 

@@ -8,9 +8,14 @@ Subcommands::
     regularize  compare the three regularization schemes
     zeta        Riemann zeta for real s > 1
 
-Exit codes: 0 success, 2 argument error, 3 numerical failure, 4 I/O failure.
-In SI mode lengths are meters, gravity is an acceleration in m/s^2 and
-energy-like outputs are converted through hbar*c.
+Each handler computes and returns its stdout lines. :func:`main` prints
+them, after each distinct :class:`RegimeWarning` as ``warning:`` on stderr,
+only once the handler has returned, so a failure prints no partial output
+and no warning. Exit codes: 0 success, 2 argument error (a bad option, or
+any :class:`DomainError`: an input outside the domain or a result outside
+the double range), 3 numerical failure, 4 I/O failure. In SI mode lengths
+are meters, gravity is an acceleration in m/s^2 and energy-like outputs
+are converted through hbar*c.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ import sys
 import warnings
 
 from .cavity import CavityConfig, brown_maclay_tensor, energy_density, energy_per_area, pressure
-from .errors import (
-    CasimirError,
-    ConvergenceError,
-    DivergentSeriesError,
-    DomainError,
-    GeometryError,
-    RegimeWarning,
-)
+from .errors import CasimirError, DomainError, RegimeWarning
 from .figures import FigureSpec, figure_series, write_csv, write_json
 from .numerics import DEFAULT_RELATIVE_TOLERANCE, QuadratureSpec, relative_discrepancy
 from .regularization import DEFAULT_IMAGE_TERMS, compare_schemes, riemann_zeta
@@ -53,11 +51,6 @@ def _fmt(value: float) -> str:
     return f"{value:.15g}"
 
 
-def _natural(value: float) -> float:
-    """Natural units pass every value through unchanged."""
-    return value
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
@@ -77,68 +70,54 @@ def _add_units_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
+def _cmd_compute(args: argparse.Namespace) -> list[str]:
     if args.units == "si":
         out, unit = energy_like_to_si, (" J/m^2" if args.quantity == "energy-per-area" else " Pa")
     else:
-        out, unit = _natural, ""
+        out, unit = float, ""
     cfg = CavityConfig(args.L, args.polarizations)
     if args.quantity == "energy-density":
-        print(f"energy density (one polarization) = {_fmt(out(energy_density(args.L)))}{unit}")
-    elif args.quantity == "energy-per-area":
-        print(f"energy per area = {_fmt(out(energy_per_area(cfg)))}{unit}")
-    elif args.quantity == "pressure":
-        print(f"pressure = {_fmt(out(pressure(cfg)))}{unit}")
-    else:
-        tensor = brown_maclay_tensor(cfg, flip_transverse_y=args.flip_transverse_y)
-        # converted before the first line is printed, so an underflow leaves no partial output
-        rows = [[out(v) for v in row] for row in tensor.components]
-        trace = out(tensor.trace())
-        print(f"vacuum stress tensor T^(mu nu){',' + unit if unit else ''}:")
-        for row in rows:
-            print("  " + "  ".join(f"{v:>22.15g}" for v in row))
-        print(f"trace (eta_mn T^mn) = {_fmt(trace)}")
-    return EXIT_OK
+        return [f"energy density (one polarization) = {_fmt(out(energy_density(args.L)))}{unit}"]
+    if args.quantity == "energy-per-area":
+        return [f"energy per area = {_fmt(out(energy_per_area(cfg)))}{unit}"]
+    if args.quantity == "pressure":
+        return [f"pressure = {_fmt(out(pressure(cfg)))}{unit}"]
+    tensor = brown_maclay_tensor(cfg, flip_transverse_y=args.flip_transverse_y)
+    return [f"vacuum stress tensor T^(mu nu){',' + unit if unit else ''}:",
+            *["  " + "  ".join(f"{out(v):>22.15g}" for v in row) for row in tensor.components],
+            f"trace (eta_mn T^mn) = {_fmt(out(tensor.trace()))}"]
 
 
-def _cmd_gravity(args: argparse.Namespace) -> int:
+def _cmd_gravity(args: argparse.Namespace) -> list[str]:
     if args.units == "si":
         out, g_nat, energy, per_area = energy_like_to_si, gravity_to_natural(args.g), " J", " Pa"
     else:
-        out, g_nat, energy, per_area = _natural, args.g, "", ""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RegimeWarning)
-        app = PlateApparatus(args.a, args.L, args.xi0, args.alpha, args.polarizations)
-        fld = WeakField(g_nat)
-        cfg = app.cavity()
+        out, g_nat, energy, per_area = float, args.g, "", ""
+    app = PlateApparatus(args.a, args.L, args.xi0, args.alpha, args.polarizations)
+    fld = WeakField(g_nat)
+    cfg = app.cavity()
 
-        closed = delta_energy_closed(app, fld)
-        if args.method == "quadrature":
-            quad = delta_energy_quadrature(app, fld, QuadratureSpec(args.tolerance))
-            delta_e = quad.value
-            discrepancy = relative_discrepancy([closed, quad.value])
-        else:
-            delta_e = closed
-    # every value is computed before the first line is printed, so a result
-    # that overflows leaves no partial output
+    closed = delta_energy_closed(app, fld)
+    if args.method == "quadrature":
+        quad = delta_energy_quadrature(app, fld, QuadratureSpec(args.tolerance))
+        delta_e = quad.value
+        discrepancy = relative_discrepancy([closed, quad.value])
+    else:
+        delta_e = closed
     lines = [f"Delta E_g ({args.method}) = {_fmt(out(delta_e))}{energy}"]
     if args.method == "quadrature" and closed == 0:  # a relative gap to 0 reads as 1 on noise
         lines.append(f"absolute discrepancy vs closed form (exactly 0) = {abs(delta_e):.3e}")
     elif args.method == "quadrature":
         lines.append(f"relative discrepancy vs closed form = {discrepancy:.3e}")
-    lines += [
+    return lines + [
         f"Delta F / A = {_fmt(out(delta_force_per_area(fld, cfg)))}{per_area}",
         f"F_iso / A   = {_fmt(out(isotropic_force_per_area(fld, cfg)))}{per_area}",
         f"F_fermi / A = {_fmt(out(fermi_force_per_area(fld, cfg)))}{per_area}",
         f"fractional correction (Delta F / F_flat) = {_fmt(fractional_correction(fld, cfg))}",
     ]
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
-    print("\n".join(lines))
-    return EXIT_OK
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(args: argparse.Namespace) -> list[str]:
     spec = FigureSpec(
         fig_id=args.id,
         L_min=args.Lmin,
@@ -156,24 +135,21 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         write_csv(data, args.out)
     else:
         write_json(data, args.out)
-    print(f"figure {args.id}: wrote {len(data.series[0])} rows x "
-          f"{len(data.columns)} columns to {args.out}")
-    return EXIT_OK
+    return [f"figure {args.id}: wrote {len(data.series[0])} rows x "
+            f"{len(data.columns)} columns to {args.out}"]
 
 
-def _cmd_regularize(args: argparse.Namespace) -> int:
+def _cmd_regularize(args: argparse.Namespace) -> list[str]:
     report = compare_schemes(args.L, n_terms=args.n_terms, quad=QuadratureSpec(args.tolerance))
-    print(f"scalar energy per area at L = {_fmt(args.L)} (natural units):")
-    for kind, result in report.energy_per_area.items():
-        print(f"  {kind.value:<12} value = {_fmt(result.value)}   "
-              f"error bound = {result.error_bound:.3e}")
-    print(f"max pairwise relative discrepancy = {report.max_relative_discrepancy:.3e}")
-    return EXIT_OK
+    return [f"scalar energy per area at L = {_fmt(args.L)} (natural units):",
+            *[f"  {kind.value:<12} value = {_fmt(result.value)}   "
+              f"error bound = {result.error_bound:.3e}"
+              for kind, result in report.energy_per_area.items()],
+            f"max pairwise relative discrepancy = {report.max_relative_discrepancy:.3e}"]
 
 
-def _cmd_zeta(args: argparse.Namespace) -> int:
-    print(f"zeta({_fmt(args.s)}) = {_fmt(riemann_zeta(args.s))}")
-    return EXIT_OK
+def _cmd_zeta(args: argparse.Namespace) -> list[str]:
+    return [f"zeta({_fmt(args.s)}) = {_fmt(riemann_zeta(args.s))}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,16 +222,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad arguments, 0 on --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (GeometryError, DomainError, DivergentSeriesError) as exc:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RegimeWarning)
+            lines = args.func(args)
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConvergenceError, CasimirError, ArithmeticError, ValueError) as exc:
+    except (CasimirError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    print("\n".join(lines))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

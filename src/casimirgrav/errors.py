@@ -26,10 +26,13 @@ class CasimirError(Exception):
 
 
 class DomainError(CasimirError):
-    """Input outside the mathematical domain of an operation."""
+    """Input outside the mathematical domain of an operation, or a result
+    outside the double range. :class:`GeometryError`,
+    :class:`DivergentSeriesError` and :class:`LightConeError` are its kinds;
+    the command line exits 2 on the whole family."""
 
 
-class GeometryError(CasimirError):
+class GeometryError(DomainError):
     """Invalid cavity or apparatus geometry (e.g. non-positive separation)."""
 
 
@@ -37,7 +40,7 @@ class ConvergenceError(CasimirError):
     """A numerical procedure failed to converge within its budget."""
 
 
-class DivergentSeriesError(CasimirError):
+class DivergentSeriesError(DomainError):
     """The requested series does not converge."""
 
 

@@ -60,13 +60,12 @@ class FigureSpec(FrozenValue):
         points = check_integer(points, "points")
         if not 2 <= points <= MAX_POINTS:
             raise DomainError(f"sweeps need 2 to {MAX_POINTS} points, got {points}")
-        polarizations = check_integer(polarizations, "polarizations")
         A_list = tuple(A_list)
         L_list = tuple(L_list)
         if not (A_list and L_list):
             raise DomainError("A_list and L_list must each hold at least one value")
         for L in (L_min, L_max) + L_list:
-            check_geometry(L, polarizations)
+            polarizations = check_geometry(L, polarizations)
         if not all(0.0 < A < math.inf for A in (A_min, A_max) + A_list):
             raise DomainError("areas must be positive and finite")
         object.__setattr__(self, "fig_id", fig_id)

@@ -322,13 +322,16 @@ def tail_bounded_power_sum(p: float, scale: float, n_terms: int) -> SeriesResult
     Python frame per term, and ``math.fsum`` rounds their sum correctly.
     The bound ``|scale| / ((p-1) N^{p-1})`` dominates the omitted tail by
     the integral comparison test, so ``error_bound`` is rigorous for the
-    limit ``scale * zeta(p)``. ``n_terms`` must be an integer.
+    limit ``scale * zeta(p)``. ``n_terms`` must be an integer, and a NaN
+    exponent or scale raises :class:`DomainError` naming it.
     """
     if p <= 1:
         raise DivergentSeriesError(f"sum of 1/n^p diverges for p = {p}")
     n_terms = check_integer(n_terms, "n_terms")
     if n_terms < 1:
         raise DomainError("n_terms must be a positive integer")
+    if p != p or scale != scale:  # NaN; math.isnan raises on an int past the double range
+        raise DomainError(f"exponent and scale must be numbers, got p = {p}, scale = {scale}")
     try:
         bound = abs(scale) / ((p - 1.0) * n_terms ** (p - 1.0))
     except OverflowError:

@@ -54,7 +54,8 @@ class PlateApparatus(FrozenValue):
     ``a`` is the transverse plate side (area A = a^2), ``L`` the plate
     separation, ``xi0`` the center offset along the plate normal and
     ``alpha`` the tilt from the gravity direction (radians, stored
-    normalized to [0, 2 pi)). All four must be finite. The closed forms
+    normalized to [0, 2 pi)). All four must be finite, and
+    ``polarizations`` an integer, stored as ``int``. The closed forms
     assume a >> L; smaller aspect ratios only warn.
     """
 
@@ -62,7 +63,7 @@ class PlateApparatus(FrozenValue):
 
     def __init__(self, a: float, L: float, xi0: float = 0.0, alpha: float = 0.0,
                  polarizations: int = 2) -> None:
-        check_geometry(L, polarizations, a)
+        polarizations = check_geometry(L, polarizations, a)
         if not (math.isfinite(xi0) and math.isfinite(alpha)):
             raise GeometryError(f"xi0 and alpha must be finite, got {xi0}, {alpha}")
         object.__setattr__(self, "a", a)

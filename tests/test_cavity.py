@@ -67,6 +67,10 @@ def test_cavity_config_validation():
         CavityConfig(-1.0)
     with pytest.raises(GeometryError):
         CavityConfig(1.0, polarizations=3)
+    with pytest.raises(DomainError, match="polarizations must be an integer, got 2.0"):
+        CavityConfig(1.0, 2.0)
+    cfg = CavityConfig(1.0, np.int64(2))
+    assert type(cfg.polarizations) is int and cfg == CavityConfig(1.0, 2)
 
 
 @pytest.mark.parametrize("L", [0.5, 1.0, 2.0, 5.0])

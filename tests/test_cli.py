@@ -4,13 +4,20 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from casimirgrav import cli
 from casimirgrav.cli import main
-from casimirgrav.errors import ConvergenceError
+from casimirgrav.errors import (
+    ConvergenceError,
+    DivergentSeriesError,
+    GeometryError,
+    LightConeError,
+    RegimeWarning,
+)
 from casimirgrav.units import HBAR_C
 
 
@@ -383,18 +390,21 @@ def test_figure_io_failure_exits_4(capsys):
     assert main(["figure", "--id", "1", "--out", "/no/such/dir/fig.csv"]) == 4
 
 
+LIBRARY_CALLS = [
+    ("riemann_zeta", ["zeta", "--s", "4"]),
+    ("delta_energy_quadrature", ["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5",
+                                 "--method", "quadrature"]),
+    ("compare_schemes", ["regularize", "--L", "1"]),
+]
+
+
 # No known CLI input reaches exit 3; it guards against library failures, so
 # each command's library call is made to fail here.
 @pytest.mark.parametrize("exc", [ConvergenceError("no convergence within 40 splits"),
                                  ZeroDivisionError("float division by zero"),
                                  ValueError("math domain error")],
                          ids=lambda exc: type(exc).__name__)
-@pytest.mark.parametrize("name, argv", [
-    ("riemann_zeta", ["zeta", "--s", "4"]),
-    ("delta_energy_quadrature", ["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5",
-                                 "--method", "quadrature"]),
-    ("compare_schemes", ["regularize", "--L", "1"]),
-])
+@pytest.mark.parametrize("name, argv", LIBRARY_CALLS)
 def test_library_failures_exit_3(name, argv, exc, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise exc
@@ -405,6 +415,54 @@ def test_library_failures_exit_3(name, argv, exc, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("numerical failure:")
     assert str(exc) in err
+
+
+# Every kind of DomainError exits 2, from whichever library call raises it.
+@pytest.mark.parametrize("exc", [GeometryError("plate separation must lie in [1e-75, 1e+75]"),
+                                 DivergentSeriesError("sum of 1/n^p diverges for p = 1"),
+                                 LightConeError("propagator singular on the light cone")],
+                         ids=lambda exc: type(exc).__name__)
+@pytest.mark.parametrize("name, argv", LIBRARY_CALLS)
+def test_domain_error_family_exits_2(name, argv, exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, name, fail)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {exc}\n"
+
+
+def test_gravity_prints_each_distinct_regime_warning_once(capsys):
+    # a/L = 5 warns once; the closed form and the quadrature both warn on g * extent
+    assert main(["gravity", "--L", "0.2", "--a", "1", "--xi0", "0.5", "--g", "1",
+                 "--method", "quadrature"]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        "warning: aspect ratio a/L = 5 < 10; edge effects neglected by the closed forms "
+        "may be significant",
+        "warning: g * apparatus extent = 1.6 > 0.1; outside the linearized weak-field regime",
+    ]
+    assert out.startswith("Delta E_g (quadrature) = ")
+
+
+def test_failure_after_a_regime_warning_prints_only_the_error(capsys):
+    # g * extent = 1e200 warns, then A g E_C xi0 overflows
+    assert main(["gravity", "--L", "0.1", "--a", "1e200", "--xi0", "0.5"]) == 2
+    assert capsys.readouterr() == ("", "error: Delta E_g overflows the double range for "
+                                       "these inputs\n")
+
+
+def test_every_command_reports_regime_warnings(monkeypatch, capsys):
+    def zeta_that_warns(s):
+        warnings.warn("s outside the tested regime", RegimeWarning)
+        warnings.warn("s outside the tested regime", RegimeWarning)
+        return 1.5
+
+    monkeypatch.setattr(cli, "riemann_zeta", zeta_that_warns)
+    assert main(["zeta", "--s", "4"]) == 0
+    assert capsys.readouterr() == ("zeta(4) = 1.5\n", "warning: s outside the tested regime\n")
 
 
 def test_regularize_report(capsys):

@@ -125,8 +125,9 @@ def test_figure_spec_checks_polarizations(fig_id):
     for pol in (0, 3, 7):
         with pytest.raises(GeometryError, match="polarizations"):
             FigureSpec(fig_id, polarizations=pol)
-    with pytest.raises(DomainError, match="polarizations must be an integer"):
-        FigureSpec(fig_id, polarizations=2.0)
+    for bad_L in ({}, {"L_min": 1e-80}, {"L_list": (1e80,)}):
+        with pytest.raises(DomainError, match="polarizations must be an integer, got 2.0"):
+            FigureSpec(fig_id, polarizations=2.0, **bad_L)
     for pol in (1, True, np.int64(1)):
         assert figure_series(FigureSpec(fig_id, polarizations=pol)).metadata[2].endswith(
             " polarizations=1")

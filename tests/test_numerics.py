@@ -384,6 +384,14 @@ def test_tail_sum_bound_past_double_range_raises():
         tail_bounded_power_sum(400.0, 1.0, 10)
 
 
+def test_tail_sum_nan_input_is_named():
+    with pytest.raises(DomainError, match=r"got p = nan, scale = 1\.0"):
+        tail_bounded_power_sum(math.nan, 1.0, 10)
+    with pytest.raises(DomainError, match=r"got p = 2\.0, scale = nan"):
+        tail_bounded_power_sum(2.0, math.nan, 10)
+    assert tail_bounded_power_sum(math.inf, 1.0, 10) == SeriesResult(1.0, 0.0, 10)
+
+
 def test_tail_sum_divergent():
     with pytest.raises(DivergentSeriesError):
         tail_bounded_power_sum(1.0, 1.0, 10)

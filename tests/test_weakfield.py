@@ -302,6 +302,9 @@ def test_apparatus_validation_and_normalization():
         _quiet_apparatus(1.0, -0.1)
     with pytest.raises(GeometryError):
         _quiet_apparatus(1.0, 0.01, polarizations=0)
+    with pytest.raises(DomainError, match="polarizations must be an integer, got 2.0"):
+        _quiet_apparatus(1.0, 0.01, polarizations=2.0)
+    assert type(_quiet_apparatus(1.0, 0.01, polarizations=np.int64(1)).polarizations) is int
     with pytest.raises(GeometryError):
         WeakField(-1.0)
     app = _quiet_apparatus(10.0, 0.1, alpha=2.0 * math.pi + 0.25)
