@@ -20,8 +20,6 @@ __all__ = [
     "CavityConfig",
     "StressTensor",
     "SpacetimePoint",
-    "METRIC_DIAGONAL",
-    "check_geometry",
     "energy_density",
     "energy_per_area",
     "pressure",

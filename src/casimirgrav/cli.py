@@ -26,7 +26,7 @@ import warnings
 
 from .cavity import CavityConfig, brown_maclay_tensor, energy_density, energy_per_area, pressure
 from .errors import CasimirError, DomainError, RegimeWarning
-from .figures import FigureSpec, figure_series, write_csv, write_json
+from .figures import FigureSpec, _echo, figure_series, write_csv, write_json
 from .numerics import DEFAULT_RELATIVE_TOLERANCE, QuadratureSpec, relative_discrepancy
 from .regularization import DEFAULT_IMAGE_TERMS, compare_schemes, riemann_zeta
 from .units import energy_like_to_si, gravity_to_natural
@@ -141,7 +141,7 @@ def _cmd_figure(args: argparse.Namespace) -> list[str]:
 
 def _cmd_regularize(args: argparse.Namespace) -> list[str]:
     report = compare_schemes(args.L, n_terms=args.n_terms, quad=QuadratureSpec(args.tolerance))
-    return [f"scalar energy per area at L = {_fmt(args.L)} (natural units):",
+    return [f"scalar energy per area at L = {_echo(args.L, '.15g')} (natural units):",
             *[f"  {kind.value:<12} value = {_fmt(result.value)}   "
               f"error bound = {result.error_bound:.3e}"
               for kind, result in report.energy_per_area.items()],
@@ -149,7 +149,7 @@ def _cmd_regularize(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_zeta(args: argparse.Namespace) -> list[str]:
-    return [f"zeta({_fmt(args.s)}) = {_fmt(riemann_zeta(args.s))}"]
+    return [f"zeta({_echo(args.s, '.15g')}) = {_fmt(riemann_zeta(args.s))}"]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,10 +14,6 @@ __all__ = [
     "DivergentSeriesError",
     "LightConeError",
     "RegimeWarning",
-    "check_integer",
-    "check_finite",
-    "check_normal",
-    "FrozenValue",
 ]
 
 

@@ -107,6 +107,13 @@ class FigureData(FrozenValue):
             return self._rows
 
 
+def _echo(value: float, spec: str = "g") -> str:
+    """An input as ``format(value, spec)`` if that text reads back as the same
+    double, else as its repr: an input printed back always round-trips."""
+    text = format(value, spec)
+    return text if float(text) == value else repr(value)
+
+
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     """``np.linspace(lo, hi, n).tolist()`` to the bit: i * step + lo, numpy's
     fallback i / (n - 1) * (hi - lo) + lo when the step underflows to zero,
@@ -132,16 +139,16 @@ def figure_series(spec: FigureSpec) -> FigureData:
     meta = [
         f"figure {spec.fig_id}: {FIGURE_TITLES[spec.fig_id]}",
         "natural units (hbar = c = 1); parameter defaults are artifact choices",
-        f"g={spec.g:g} polarizations={pol}",
+        f"g={_echo(spec.g)} polarizations={pol}",
     ]
 
     if spec.fig_id == 5:
         x = _linspace(spec.A_min, spec.A_max, spec.points)
-        sweep = (f"A_min={spec.A_min:g} A_max={spec.A_max:g} points={spec.points} "
-                 f"L_list={','.join(f'{l:g}' for l in spec.L_list)}")
+        sweep = (f"A_min={_echo(spec.A_min)} A_max={_echo(spec.A_max)} points={spec.points} "
+                 f"L_list={','.join(map(_echo, spec.L_list))}")
     else:
         x = _linspace(spec.L_min, spec.L_max, spec.points)
-        sweep = f"L_min={spec.L_min:g} L_max={spec.L_max:g} points={spec.points}"
+        sweep = f"L_min={_echo(spec.L_min)} L_max={_echo(spec.L_max)} points={spec.points}"
     if spec.fig_id >= 4:
         delta = [g * _energy_per_area(l, pol) for l in (spec.L_list if spec.fig_id == 5 else x)]
         # Over [L_MIN, L_MAX] a g E_C column spans at most 450 decades, the double range
@@ -156,11 +163,11 @@ def figure_series(spec: FigureSpec) -> FigureData:
     elif spec.fig_id == 3:
         names, cols = ["L", "energy_per_area"], [[_energy_per_area(l, pol) for l in x]]
     elif spec.fig_id == 4:
-        names = ["L"] + [f"delta_force[A={area:g}]" for area in spec.A_list]
+        names = ["L"] + [f"delta_force[A={_echo(area)}]" for area in spec.A_list]
         cols = products = [[area * d for d in delta] for area in spec.A_list]
-        sweep += f" A_list={','.join(f'{a:g}' for a in spec.A_list)}"
+        sweep += f" A_list={','.join(map(_echo, spec.A_list))}"
     elif spec.fig_id == 5:
-        names = ["A"] + [f"delta_force[L={L:g}]" for L in spec.L_list]
+        names = ["A"] + [f"delta_force[L={_echo(L)}]" for L in spec.L_list]
         cols = products = [[area * s for area in x] for s in delta]
     else:  # F^F / A = F^I / A + Delta F / A, summed as fermi_force_per_area sums it
         names = ["L", "delta_force_per_area", "fermi_force_per_area"]

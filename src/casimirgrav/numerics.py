@@ -32,9 +32,7 @@ __all__ = [
     "integrate_1d",
     "integrate_nd",
     "central_diff",
-    "default_step",
     "tail_bounded_power_sum",
-    "relative_discrepancy",
 ]
 
 _EPS = sys.float_info.epsilon

@@ -40,9 +40,9 @@ __all__ = [
 ]
 
 # Euler-Maclaurin parameters for riemann_zeta: partial sum length and the
-# even Bernoulli numbers B2, B4, B6 of the correction terms. Measured
-# worst-case error over s in [2, 10] is 4.5e-16 (truncation after B6 at
-# N = 50 is below 2e-17).
+# even Bernoulli numbers B2, B4, B6 of the correction terms. Truncation after
+# B6 at N = 50 is below 2e-17 relative on all of (1, 54); rounding sets the
+# error (see riemann_zeta).
 _ZETA_TERMS = 50
 _BERNOULLI_EVEN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)
 
@@ -63,7 +63,9 @@ def riemann_zeta(s: float) -> float:
     """zeta(s) for real s > 1 by Euler-Maclaurin summation.
 
     Partial sum of N = 50 terms plus N^{1-s}/(s-1) - N^{-s}/2 and Bernoulli
-    corrections through B6; absolute error below 1e-14 throughout [2, 10].
+    corrections through B6. Relative error at most 4.3 u (u = 2^-53) over
+    24 000 seeded draws of s - 1 log-uniform in [1e-12, 53], next to s = 1
+    too, where zeta(s) ~ 1/(s - 1) reaches 4.5e15; a test holds it to 8 u.
     From s = 54 on, zeta(s) - 1 <= 2^-s (1 + 2/(s-1)) is below half an ulp
     of 1, so the value is 1.0 (the Bernoulli terms would reach inf * 0).
     """

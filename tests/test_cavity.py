@@ -8,6 +8,7 @@ from casimirgrav.cavity import (
     L_MIN,
     CavityConfig,
     SpacetimePoint,
+    StressTensor,
     brown_maclay_tensor,
     energy_density,
     energy_per_area,
@@ -60,6 +61,12 @@ def test_energy_per_area_values():
 def test_pressure_values():
     assert pressure(CavityConfig(1.0, 2)) == pytest.approx(-4.112335167120566e-2, rel=1e-15)
     assert pressure(CavityConfig(2.0, 2)) == pytest.approx(-(math.pi ** 2) / 3840.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4,), (4, 4, 1), (16,)])
+def test_stress_tensor_must_be_4x4(shape):
+    with pytest.raises(GeometryError, match="stress tensor must be 4x4"):
+        StressTensor(np.zeros(shape))
 
 
 def test_cavity_config_validation():

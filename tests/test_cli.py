@@ -301,6 +301,39 @@ def test_figure_json(tmp_path, capsys):
     assert list(rows[0].keys()) == ["A", "delta_force[L=0.5]", "delta_force[L=1]"]
 
 
+# :g printed both areas as 1, so json.load kept 2 of each row's 3 columns
+def test_figure_json_keeps_columns_whose_inputs_differ_past_6_digits(tmp_path, capsys):
+    out_file = tmp_path / "fig4.json"
+    assert main(["figure", "--id", "4", "--A-list", "1,1.0000001", "--format", "json",
+                 "--points", "3", "--out", str(out_file)]) == 0
+    rows = json.loads(out_file.read_text())
+    assert [list(row) for row in rows] == [
+        ["L", "delta_force[A=1]", "delta_force[A=1.0000001]"]] * 3
+
+
+# an input printed back reads back as the same double; results keep 15 digits
+@pytest.mark.parametrize("argv, head", [
+    (["zeta", "--s", "1.0000000000000002"], "zeta(1.0000000000000002) = 4.5035996273705e+15\n"),
+    (["zeta", "--s", "4"], "zeta(4) = 1.08232323371114\n"),
+    (["regularize", "--L", "1.0000000000000002"],
+     "scalar energy per area at L = 1.0000000000000002 (natural units):\n"),
+    (["regularize", "--L", "0.3"], "scalar energy per area at L = 0.3 (natural units):\n"),
+], ids=["s-next-to-1", "s-4", "L-next-to-1", "L-0.3"])
+def test_printed_inputs_round_trip(argv, head, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(head)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,x", "expected comma-separated numbers, got '1,x'"), (",", "empty list: ','")])
+@pytest.mark.parametrize("flag", ["--A-list", "--L-list"])
+def test_unreadable_list_exits_2(flag, text, message, tmp_path, capsys):
+    out_file = tmp_path / "fig.csv"
+    assert main(["figure", "--id", "4", flag, text, "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_file.exists()
+
+
 def test_figure_bad_range_exits_2(capsys):
     assert main(["figure", "--id", "1", "--out", "/tmp/x.csv", "--Lmin", "5", "--Lmax", "1"]) == 2
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,26 @@ def test_figure_spec_stores_integers_and_tuples():
     assert (spec.A_list, spec.L_list) == ((1.0, 2.0), (0.5,))
     assert hash(spec) == hash(FigureSpec(4, points=3, A_list=(1.0, 2.0), L_list=(0.5,)))
     assert figure_series(spec).columns == ["L", "delta_force[A=1]", "delta_force[A=2]"]
+
+
+# inputs that 6 significant digits (the :g format) would round
+@pytest.mark.parametrize("fig_id, kwargs", [
+    (4, {"A_list": (1.0, 1.0000001), "L_max": 2.0000001, "g": 0.1 + 0.2}),
+    (5, {"L_list": (0.5, 0.5000001), "A_min": 1.0 / 3.0, "A_max": 5.0}),
+    (1, {"L_min": 1e-75, "L_max": 2.0000001}),
+    (6, {"L_min": 0.1, "g": 1e-300}),
+])
+def test_inputs_printed_in_names_and_metadata_round_trip(fig_id, kwargs):
+    spec = FigureSpec(fig_id, points=2, **kwargs)
+    data = figure_series(spec)
+    assert len(set(data.columns)) == len(data.columns)
+    labels = tuple(float(c.split("=")[1][:-1]) for c in data.columns[1:] if "=" in c)
+    assert labels == {4: spec.A_list, 5: spec.L_list}.get(fig_id, ())
+    for key, text in re.findall(r"(\w+)=(\S+)", data.metadata[2] + " " + data.metadata[3]):
+        if key.endswith("_list"):
+            assert tuple(map(float, text.split(","))) == getattr(spec, key)
+        elif key not in ("polarizations", "points"):
+            assert float(text) == getattr(spec, key), key
 
 
 def test_csv_round_trip(tmp_path):

@@ -60,6 +60,8 @@ def test_interval_ordering_validated():
         Interval(1.0, 1.0)
     with pytest.raises(DomainError):
         Interval(2.0, 1.0)
+    with pytest.raises(DomainError, match="lower endpoint must be finite"):
+        Interval(-math.inf, 0.0)
 
 
 def test_quadrature_spec_validated():
@@ -272,10 +274,11 @@ def test_series_result_add():
 
 @pytest.mark.parametrize("value, bound, terms_used", [
     (math.nan, 0.0, 1), (math.inf, 0.0, 1), (-math.inf, 0.0, 1), (1.0, math.inf, 1),
-    (1.0, math.nan, 1), (1.0, 0.0, 2.5), (1.0, 0.0, math.nan),
-], ids=["nan-0.0", "inf-0.0", "-inf-0.0", "1.0-inf", "1.0-nan", "terms-2.5", "terms-nan"])
+    (1.0, math.nan, 1), (1.0, 0.0, 2.5), (1.0, 0.0, math.nan), (1.0, -0.5, 1), (1.0, 0.0, 0),
+], ids=["nan-0.0", "inf-0.0", "-inf-0.0", "1.0-inf", "1.0-nan", "terms-2.5", "terms-nan",
+        "bound-negative", "terms-0"])
 def test_series_result_must_be_finite(value, bound, terms_used):
-    # a finite value and bound, and an integer count of work
+    # a finite value, a finite non-negative bound and a positive integer count of work
     with pytest.raises(DomainError):
         SeriesResult(value, bound, terms_used)
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -51,6 +52,19 @@ def test_zeta_against_mpmath_up_to_huge_s():
     for s in np.logspace(math.log10(2.0), 300.0, 400).tolist():
         assert riemann_zeta(s) == pytest.approx(float(mpmath.zeta(s)), abs=1e-14)
     assert riemann_zeta(1e308) == 1.0
+
+
+def test_zeta_relative_error_against_mpmath_next_to_one():
+    # zeta(s) ~ 1/(s - 1) reaches 4.5e15, where an absolute bound says nothing;
+    # the worst of these draws is 3.6 u, of 24 000 other seeded draws 4.3 u
+    rng = random.Random(20261019)
+    draws = [1.0 + 10.0 ** rng.uniform(-12.0, math.log10(53.0)) for _ in range(1200)]
+    draws += [1.0 + k * 2.0 ** -52 for k in (1, 2, 3, 111)]
+    u = 2.0 ** -53
+    with mpmath.workdps(40):
+        for s in draws:
+            exact = mpmath.zeta(s)
+            assert abs((riemann_zeta(s) - exact) / exact) <= 8 * u, s
 
 
 def test_image_sum_converges_to_closed_form():

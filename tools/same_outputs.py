@@ -5,12 +5,15 @@
 
 Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
 
+- the package's public top-level names, so that any drift in the API shows;
 - the CLI, in-process through ``cli.main``: every subcommand in natural and
   SI units, ``--help``, argument errors, the documented exit-2 cases
   (out-of-domain inputs, results past the double range, SI and natural
-  underflow) and an exit-4 write. No CLI input is known to exit 3, so the
-  list has none; a library ``ConvergenceError`` is recorded below. Each run
-  records its exit code, standard output and standard error;
+  underflow), an exit-4 write, and inputs that 6 or 15 significant digits
+  would round, which each command prints back as they read. No CLI input is
+  known to exit 3, so the list has none; a library ``ConvergenceError`` is
+  recorded below. Each run records its exit code, standard output and
+  standard error;
 - figures 1-6 in CSV and JSON at 200, 4 095, 4 096 and 4 097 points, and
   with each sweep option: the bytes of each file;
 - ``SeriesResult`` records by ``float.hex`` for every producer: the tail
@@ -134,6 +137,15 @@ def cli_runs() -> list[list[str]]:
         ["figure", "--id", "4", "--A-list", ",", "--out", f"{FILES}/err.csv"],
         ["figure", "--id", "7", "--out", f"{FILES}/err.csv"],
         ["figure", "--id", "1", "--out", "no-such-dir/figure1.csv"],
+    ]
+    # inputs that 6 (:g) or 15 significant digits round, printed back as they read
+    runs += [
+        ["figure", "--id", "4", "--A-list", "1,1.0000001", "--Lmax", "2.0000001", "--g",
+         "0.30000000000000004", "--format", "json", "--out", f"{FILES}/figure4-round-trip.json"],
+        ["figure", "--id", "5", "--L-list", "0.5,0.5000001", "--Amin", "0.30000000000000004",
+         "--out", f"{FILES}/figure5-round-trip.csv"],
+        ["zeta", "--s", "1.0000000000000002"],
+        ["regularize", "--L", "1.0000000000000002"],
     ]
     return runs
 
@@ -264,8 +276,12 @@ def save(out: Path, records: dict) -> None:
 def record(out: Path) -> None:
     """Run the fixed list with the ``casimirgrav`` on ``sys.path``, writing
     ``records.json`` and the figure files into ``out``, the working directory."""
+    import casimirgrav
+
     (out / FILES).mkdir(exist_ok=True)
-    records = {"cli " + " ".join(argv): run_cli(argv) for argv in cli_runs()}
+    names = sorted(name for name in dir(casimirgrav) if not name.startswith("_"))
+    records = {"casimirgrav public names": "\n".join(names)}
+    records.update(("cli " + " ".join(argv), run_cli(argv)) for argv in cli_runs())
     records.update(library_records())
     save(out, records)
 
