@@ -66,9 +66,7 @@ class CavityConfig(FrozenValue):
     __slots__ = ("L", "polarizations")
 
     def __init__(self, L: float, polarizations: int = 2) -> None:
-        polarizations = check_geometry(L, polarizations)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "polarizations", polarizations)
+        super().__init__(L, check_geometry(L, polarizations))
 
 
 class StressTensor(FrozenValue):
@@ -81,7 +79,7 @@ class StressTensor(FrozenValue):
         c = np.asarray(components, dtype=float)
         if c.shape != (4, 4):
             raise GeometryError("stress tensor must be 4x4")
-        object.__setattr__(self, "components", c)
+        super().__init__(c)
 
     def trace(self) -> float:
         """eta_{mu nu} T^{mu nu} with the fixed (-,+,+,+) signature."""
@@ -97,10 +95,7 @@ class SpacetimePoint(FrozenValue):
     __slots__ = ("t", "x", "y", "z")
 
     def __init__(self, t: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        super().__init__(t, x, y, z)
         # checked after the fields are set, so the message can show the point
         if not all(map(math.isfinite, (t, x, y, z))):
             raise GeometryError(f"spacetime coordinates must be finite, got {self}")

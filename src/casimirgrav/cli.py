@@ -12,15 +12,18 @@ Each handler computes and returns its stdout lines. :func:`main` prints
 them, after each distinct :class:`RegimeWarning` as ``warning:`` on stderr,
 only once the handler has returned, so a failure prints no partial output
 and no warning. Exit codes: 0 success, 2 argument error (a bad option, or
-any :class:`DomainError`: an input outside the domain or a result outside
-the double range), 3 numerical failure, 4 I/O failure. In SI mode lengths
-are meters, gravity is an acceleration in m/s^2 and energy-like outputs
-are converted through hbar*c.
+any :class:`DomainError`: an input outside the domain, a result outside
+the double range, a repeated figure 4 or 5 list entry), 3 numerical
+failure, 4 I/O failure (an unwritable ``--out``, or stdout closed before
+the output is read, which prints no error message, since stderr may be
+the same closed pipe). In SI mode lengths are meters, gravity is an
+acceleration in m/s^2 and energy-like outputs are converted through hbar*c.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -236,7 +239,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # no message: stderr may be the same closed pipe
+        # point stdout at devnull, so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -81,8 +81,9 @@ class FrozenValue:
 
     A subclass names its fields in ``__slots__`` (a name starting with ``_``,
     such as a cache, is private state and no field), validates its arguments
-    in ``__init__`` and then sets each field once with ``object.__setattr__``.
-    Assigning or deleting an attribute afterwards raises
+    in ``__init__`` and then calls ``FrozenValue.__init__`` with every field
+    in declaration order, which sets each one once; a wrong count raises
+    :class:`ValueError`. Assigning or deleting an attribute afterwards raises
     :class:`AttributeError`. Equality (between values of one class), hash
     and repr go over the fields in declaration order; a value pickles and
     copies by constructing it again from its fields.
@@ -94,6 +95,11 @@ class FrozenValue:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls.__match_args__ = cls._fields
+
+    def __init__(self, *values) -> None:
+        set_field = object.__setattr__  # one lookup per value, not per field
+        for name, value in zip(self._fields, values, strict=True):
+            set_field(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

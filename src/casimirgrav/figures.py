@@ -68,16 +68,12 @@ class FigureSpec(FrozenValue):
             polarizations = check_geometry(L, polarizations)
         if not all(0.0 < A < math.inf for A in (A_min, A_max) + A_list):
             raise DomainError("areas must be positive and finite")
-        object.__setattr__(self, "fig_id", fig_id)
-        object.__setattr__(self, "L_min", L_min)
-        object.__setattr__(self, "L_max", L_max)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "A_min", A_min)
-        object.__setattr__(self, "A_max", A_max)
-        object.__setattr__(self, "A_list", A_list)
-        object.__setattr__(self, "L_list", L_list)
-        object.__setattr__(self, "g", WeakField(g).g)  # GeometryError unless finite, >= 0
-        object.__setattr__(self, "polarizations", polarizations)
+        g = WeakField(g).g  # GeometryError unless finite, >= 0
+        for name, values in (("A_list", A_list), ("L_list", L_list)):
+            if len(set(values)) < len(values):  # one column name per value
+                raise DomainError(f"{name} must not repeat a value, got {values}")
+        super().__init__(fig_id, L_min, L_max, points, A_min, A_max, A_list, L_list, g,
+                         polarizations)
 
 
 class FigureData(FrozenValue):
@@ -92,9 +88,7 @@ class FigureData(FrozenValue):
 
     def __init__(self, columns: list[str], series: list[list[float]],
                  metadata: list[str] | None = None) -> None:
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "metadata", [] if metadata is None else metadata)
+        super().__init__(columns, series, [] if metadata is None else metadata)
 
     @property
     def rows(self) -> np.ndarray:

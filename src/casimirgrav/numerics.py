@@ -68,8 +68,7 @@ class Interval(FrozenValue):
             raise DomainError(f"interval requires lo < hi, got [{lo}, {hi}]")
         if math.isinf(lo):
             raise DomainError("lower endpoint must be finite")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(lo, hi)
 
     @property
     def is_semi_infinite(self) -> bool:
@@ -85,7 +84,7 @@ class QuadratureSpec(FrozenValue):
     def __init__(self, relative_tolerance: float = DEFAULT_RELATIVE_TOLERANCE) -> None:
         if not 0.0 < relative_tolerance <= 1e-2:
             raise DomainError("relative_tolerance must lie in (0, 1e-2]")
-        object.__setattr__(self, "relative_tolerance", relative_tolerance)
+        super().__init__(relative_tolerance)
 
 
 class SeriesResult(FrozenValue):
@@ -120,9 +119,7 @@ class SeriesResult(FrozenValue):
         terms_used = check_integer(terms_used, "terms_used")
         if terms_used < 1:
             raise DomainError("terms_used must be a positive integer")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "error_bound", error_bound)
-        object.__setattr__(self, "terms_used", terms_used)
+        super().__init__(value, error_bound, terms_used)
 
     def scaled(self, c: float) -> SeriesResult:
         """This result times the exact constant ``c``."""

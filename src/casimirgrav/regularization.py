@@ -150,8 +150,7 @@ class SchemeComparison(FrozenValue):
 
     def __init__(self, energy_per_area: dict[SchemeKind, SeriesResult],
                  max_relative_discrepancy: float) -> None:
-        object.__setattr__(self, "energy_per_area", energy_per_area)
-        object.__setattr__(self, "max_relative_discrepancy", max_relative_discrepancy)
+        super().__init__(energy_per_area, max_relative_discrepancy)
 
 
 def compare_schemes(

@@ -66,14 +66,6 @@ class PlateApparatus(FrozenValue):
         polarizations = check_geometry(L, polarizations, a)
         if not (math.isfinite(xi0) and math.isfinite(alpha)):
             raise GeometryError(f"xi0 and alpha must be finite, got {xi0}, {alpha}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "xi0", xi0)
-        alpha %= _TWO_PI
-        # a negative angle of size below half an ulp of 2 pi rounds up to
-        # 2 pi; 0 is in range and the nearer angle
-        object.__setattr__(self, "alpha", 0.0 if alpha == _TWO_PI else alpha)
-        object.__setattr__(self, "polarizations", polarizations)
         if a < 10.0 * L:
             warnings.warn(
                 f"aspect ratio a/L = {a / L:.3g} < 10; edge effects "
@@ -81,6 +73,10 @@ class PlateApparatus(FrozenValue):
                 RegimeWarning,
                 stacklevel=2,
             )
+        alpha %= _TWO_PI
+        # a negative angle of size below half an ulp of 2 pi rounds up to
+        # 2 pi; 0 is in range and the nearer angle
+        super().__init__(a, L, xi0, 0.0 if alpha == _TWO_PI else alpha, polarizations)
 
     @property
     def area(self) -> float:
@@ -103,7 +99,7 @@ class WeakField(FrozenValue):
     def __init__(self, g: float = 0.0) -> None:
         if g < 0 or not math.isfinite(g):
             raise GeometryError(f"field order parameter must be finite and >= 0, got {g}")
-        object.__setattr__(self, "g", g)
+        super().__init__(g)
 
 
 def _warn_linearized_regime(app: PlateApparatus, field: WeakField) -> None:

@@ -150,16 +150,33 @@ def test_separation_outside_double_range_exits_2(argv, tmp_path, capsys):
     assert not out_file.exists()
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter on this checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def _run_in_fresh_interpreter(lines):
     """Run ``lines`` in a fresh interpreter on this checkout's sources, after
     ``import contextlib, io, sys``; a line may assert on ``sys.modules``."""
     code = "\n".join(["import contextlib, io, sys", *lines])
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# `zeta --s 4 | true`, without the race: the reader has left before the write
+def test_stdout_closed_early_exits_4_and_prints_nothing():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "casimirgrav", "zeta", "--s", "4"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_fresh_env(),
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (4, b"")
 
 
 def test_math_only_commands_load_no_numpy():
@@ -330,6 +347,19 @@ def test_printed_inputs_round_trip(argv, head, capsys):
 def test_unreadable_list_exits_2(flag, text, message, tmp_path, capsys):
     out_file = tmp_path / "fig.csv"
     assert main(["figure", "--id", "4", flag, text, "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_file.exists()
+
+
+# a repeated value would name two columns alike, and json.load would keep one
+@pytest.mark.parametrize("argv, message", [
+    (["--id", "4", "--A-list", "1,1"], "A_list must not repeat a value, got (1.0, 1.0)"),
+    (["--id", "5", "--L-list", "0.5,2,0.5"],
+     "L_list must not repeat a value, got (0.5, 2.0, 0.5)"),
+], ids=["figure-4", "figure-5"])
+def test_repeated_list_value_exits_2(argv, message, tmp_path, capsys):
+    out_file = tmp_path / "fig.json"
+    assert main(["figure", *argv, "--format", "json", "--out", str(out_file)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out_file.exists()
 

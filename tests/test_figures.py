@@ -121,6 +121,25 @@ def test_figure_spec_validation():
             FigureSpec(2, g=g)
 
 
+# equal values would name two columns alike; 1 and 1.0 are one value
+@pytest.mark.parametrize("fig_id, kwargs, message", [
+    (4, {"A_list": (1.0, 1.0)}, "A_list must not repeat a value, got (1.0, 1.0)"),
+    (4, {"A_list": (2.0, 1, 1.0)}, "A_list must not repeat a value, got (2.0, 1, 1.0)"),
+    (5, {"L_list": (0.5, 0.5)}, "L_list must not repeat a value, got (0.5, 0.5)"),
+    (5, {"L_list": (1, 2.0, 1.0)}, "L_list must not repeat a value, got (1, 2.0, 1.0)"),
+], ids=["4-twice-1.0", "4-int-and-float", "5-twice-0.5", "5-int-and-float"])
+def test_figure_spec_refuses_a_repeated_list_value(fig_id, kwargs, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        FigureSpec(fig_id, **kwargs)
+    # every other fault is named first
+    with pytest.raises(DomainError, match="sweeps need"):
+        FigureSpec(fig_id, points=1, **kwargs)
+    with pytest.raises(DomainError, match="areas must be positive"):
+        FigureSpec(fig_id, A_min=-1.0, **kwargs)
+    with pytest.raises(GeometryError, match="field order parameter"):
+        FigureSpec(fig_id, g=-1.0, **kwargs)
+
+
 @pytest.mark.parametrize("fig_id", range(1, 7))
 def test_figure_spec_checks_polarizations(fig_id):
     for pol in (0, 3, 7):

@@ -142,8 +142,8 @@ def _sweep_is_finite_or_rejected(spec):
 
 
 @_SETTINGS
-@given(separation, separation, st.lists(positive, min_size=1, max_size=3), non_negative,
-       st.integers(2, 20))
+@given(separation, separation, st.lists(positive, min_size=1, max_size=3, unique=True),
+       non_negative, st.integers(2, 20))
 def test_figure_4_is_finite_or_rejected(L_a, L_b, areas, g, points):
     assume(L_a != L_b)
     _sweep_is_finite_or_rejected(FigureSpec(
@@ -151,8 +151,8 @@ def test_figure_4_is_finite_or_rejected(L_a, L_b, areas, g, points):
 
 
 @_SETTINGS
-@given(positive, positive, st.lists(separation, min_size=1, max_size=3), non_negative,
-       st.integers(2, 20))
+@given(positive, positive, st.lists(separation, min_size=1, max_size=3, unique=True),
+       non_negative, st.integers(2, 20))
 def test_figure_5_is_finite_or_rejected(A_a, A_b, separations, g, points):
     assume(A_a != A_b)
     _sweep_is_finite_or_rejected(FigureSpec(

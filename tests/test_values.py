@@ -19,6 +19,7 @@ from casimirgrav import (
     StressTensor,
     WeakField,
 )
+from casimirgrav.errors import FrozenValue
 from casimirgrav.figures import FigureData, FigureSpec
 
 # (build from keywords, field names in order, repr text or None)
@@ -81,3 +82,16 @@ def test_value_type_contract(make, fields, text):
     if isinstance(value, FigureData):
         value.rows  # the cached array is no field
     assert repr(value) == text
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES,
+                         ids=[type(make()).__name__ for make, _, _ in VALUES])
+def test_base_init_takes_one_value_per_field_in_order(make, fields, text):
+    cls = type(make())
+    values = tuple(range(len(fields)))
+    blank = cls.__new__(cls)
+    FrozenValue.__init__(blank, *values)
+    assert tuple(getattr(blank, name) for name in fields) == values
+    for wrong in (values[:-1], values + (len(values),)):
+        with pytest.raises(ValueError):
+            FrozenValue.__init__(cls.__new__(cls), *wrong)

@@ -9,11 +9,11 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
 - the CLI, in-process through ``cli.main``: every subcommand in natural and
   SI units, ``--help``, argument errors, the documented exit-2 cases
   (out-of-domain inputs, results past the double range, SI and natural
-  underflow), an exit-4 write, and inputs that 6 or 15 significant digits
-  would round, which each command prints back as they read. No CLI input is
-  known to exit 3, so the list has none; a library ``ConvergenceError`` is
-  recorded below. Each run records its exit code, standard output and
-  standard error;
+  underflow, a repeated figure list value), an exit-4 write, and inputs
+  that 6 or 15 significant digits would round, which each command prints
+  back as they read. No CLI input is known to exit 3, so the list has
+  none; a library ``ConvergenceError`` is recorded below. Each run
+  records its exit code, standard output and standard error;
 - figures 1-6 in CSV and JSON at 200, 4 095, 4 096 and 4 097 points, and
   with each sweep option: the bytes of each file;
 - ``SeriesResult`` records by ``float.hex`` for every producer: the tail
@@ -146,6 +146,12 @@ def cli_runs() -> list[list[str]]:
          "--out", f"{FILES}/figure5-round-trip.csv"],
         ["zeta", "--s", "1.0000000000000002"],
         ["regularize", "--L", "1.0000000000000002"],
+    ]
+    # a repeated list value, which would name two columns alike
+    runs += [
+        ["figure", "--id", "4", "--A-list", "1,1", "--format", "json",
+         "--out", f"{FILES}/figure4-repeat.json"],
+        ["figure", "--id", "5", "--L-list", "0.5,0.5", "--out", f"{FILES}/figure5-repeat.csv"],
     ]
     return runs
 
