@@ -70,15 +70,16 @@ class CavityConfig(FrozenValue):
 
 
 class StressTensor(FrozenValue):
-    """Diagonal vacuum stress tensor <T^{mu nu}> in the cavity rest frame."""
+    """Diagonal vacuum stress tensor <T^{mu nu}> in the cavity rest frame (a read-only copy)."""
 
     __slots__ = ("components",)
 
     def __init__(self, components: np.ndarray) -> None:
         import numpy as np
-        c = np.asarray(components, dtype=float)
+        c = np.array(components, dtype=float)
         if c.shape != (4, 4):
             raise GeometryError("stress tensor must be 4x4")
+        c.setflags(write=False)
         super().__init__(c)
 
     def trace(self) -> float:

@@ -34,6 +34,7 @@ FIGURE_TITLES = {
 }
 
 MAX_POINTS = 10**6  # a figure 6 CSV of this many rows is 70 MB
+MAX_CELLS = 4 * MAX_POINTS  # figure 4 or 5 at MAX_POINTS with the default three-entry list
 
 
 class FigureSpec(FrozenValue):
@@ -42,7 +43,8 @@ class FigureSpec(FrozenValue):
     ``fig_id``, ``points`` and ``polarizations`` must be integers (numpy
     integers are stored as ``int``); ``A_list`` (figure 4) and ``L_list``
     (figure 5) take any non-empty iterable of numbers and are stored as
-    tuples."""
+    tuples. A table of more than ``MAX_CELLS`` cells (rows times columns;
+    only figure 4 counts ``A_list``, only figure 5 ``L_list``) is refused."""
 
     __slots__ = ("fig_id", "L_min", "L_max", "points", "A_min", "A_max", "A_list", "L_list",
                  "g", "polarizations")
@@ -72,6 +74,10 @@ class FigureSpec(FrozenValue):
         for name, values in (("A_list", A_list), ("L_list", L_list)):
             if len(set(values)) < len(values):  # one column name per value
                 raise DomainError(f"{name} must not repeat a value, got {values}")
+        cells = points * (1 + {4: len(A_list), 5: len(L_list), 6: 2}.get(fig_id, 1))
+        if cells > MAX_CELLS:
+            raise DomainError(f"figure {fig_id} would have {cells} cells, "
+                              f"over the limit of {MAX_CELLS}")
         super().__init__(fig_id, L_min, L_max, points, A_min, A_max, A_list, L_list, g,
                          polarizations)
 

@@ -45,16 +45,14 @@ __all__ = [
     "fractional_correction",
 ]
 
-_TWO_PI = 2.0 * math.pi
-
 
 class PlateApparatus(FrozenValue):
     """Square-plate Casimir apparatus in gravity-aligned lab coordinates.
 
     ``a`` is the transverse plate side (area A = a^2), ``L`` the plate
     separation, ``xi0`` the center offset along the plate normal and
-    ``alpha`` the tilt from the gravity direction (radians, stored
-    normalized to [0, 2 pi)). All four must be finite, and
+    ``alpha`` the tilt from the gravity direction (radians, stored as
+    given, so cos and sin reduce it exactly). All four must be finite, and
     ``polarizations`` an integer, stored as ``int``. The closed forms
     assume a >> L; smaller aspect ratios only warn.
     """
@@ -73,10 +71,7 @@ class PlateApparatus(FrozenValue):
                 RegimeWarning,
                 stacklevel=2,
             )
-        alpha %= _TWO_PI
-        # a negative angle of size below half an ulp of 2 pi rounds up to
-        # 2 pi; 0 is in range and the nearer angle
-        super().__init__(a, L, xi0, 0.0 if alpha == _TWO_PI else alpha, polarizations)
+        super().__init__(a, L, xi0, alpha, polarizations)
 
     @property
     def area(self) -> float:

@@ -69,6 +69,20 @@ def test_stress_tensor_must_be_4x4(shape):
         StressTensor(np.zeros(shape))
 
 
+def test_stress_tensor_holds_a_read_only_copy():
+    given = np.diag([1.0, -1.0, -1.0, 3.0])
+    tensor = StressTensor(given)
+    given[0, 0] = 7.0
+    np.testing.assert_array_equal(tensor.components, np.diag([1.0, -1.0, -1.0, 3.0]))
+    with pytest.raises(ValueError):
+        tensor.components[0, 0] = 7.0
+    brown_maclay = brown_maclay_tensor(CavityConfig(1.0))
+    trace = brown_maclay.trace()
+    with pytest.raises(ValueError):
+        brown_maclay.components[1, 1] = 0.0
+    assert brown_maclay.trace() == trace
+
+
 def test_cavity_config_validation():
     with pytest.raises(GeometryError):
         CavityConfig(-1.0)

@@ -274,12 +274,15 @@ def test_gravity_quadrature_discrepancy(capsys):
 
 
 def test_gravity_horizontal_reports_zero(capsys):
-    assert main([
-        "gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5",
-        "--alpha", str(math.pi / 2), "--g", "1",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert abs(_value_after_equals(out.splitlines()[0])) <= 1e-12
+    outputs = []
+    for alpha in (math.pi / 2, -math.pi / 2):  # cos is even, to the bit
+        assert main([
+            "gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5",
+            f"--alpha={alpha!r}", "--g", "1",
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert abs(_value_after_equals(outputs[0].splitlines()[0])) <= 1e-12
+    assert outputs[1] == outputs[0]
 
 
 def test_gravity_si_units(capsys):
@@ -361,6 +364,21 @@ def test_repeated_list_value_exits_2(argv, message, tmp_path, capsys):
     out_file = tmp_path / "fig.json"
     assert main(["figure", *argv, "--format", "json", "--out", str(out_file)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("fig_id, option", [("4", "--A-list"), ("5", "--L-list")])
+def test_figure_past_the_cell_limit_exits_2_without_a_sweep(fig_id, option, tmp_path,
+                                                              monkeypatch, capsys):
+    def no_sweep(spec):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "figure_series", no_sweep)
+    out_file = tmp_path / "fig.csv"
+    assert main(["figure", "--id", fig_id, option, "1,2,3,4", "--points", "1000000",
+                 "--out", str(out_file)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: figure {fig_id} would have 5000000 cells, over the limit of 4000000\n")
     assert not out_file.exists()
 
 

@@ -10,6 +10,7 @@ from casimirgrav.cavity import CavityConfig, energy_density, energy_per_area, pr
 from casimirgrav.errors import DomainError, GeometryError
 from casimirgrav.figures import (
     _BLOCK_ROWS,
+    MAX_POINTS,
     FigureData,
     FigureSpec,
     _linspace,
@@ -138,6 +139,29 @@ def test_figure_spec_refuses_a_repeated_list_value(fig_id, kwargs, message):
         FigureSpec(fig_id, A_min=-1.0, **kwargs)
     with pytest.raises(GeometryError, match="field order parameter"):
         FigureSpec(fig_id, g=-1.0, **kwargs)
+
+
+# the default three-entry lists at MAX_POINTS points fill exactly 4 * MAX_POINTS cells
+@pytest.mark.parametrize("fig_id, name, other", [(4, "A_list", "L_list"), (5, "L_list", "A_list")])
+def test_figure_spec_refuses_a_table_past_the_cell_limit(fig_id, name, other):
+    four = {name: (0.5, 1.0, 2.0, 4.0)}
+    with pytest.raises(DomainError, match=re.escape(
+            f"figure {fig_id} would have 5000000 cells, over the limit of 4000000")):
+        FigureSpec(fig_id, points=MAX_POINTS, **four)
+    FigureSpec(fig_id, points=MAX_POINTS)
+    FigureSpec(fig_id, points=MAX_POINTS // 5, **four)
+    # only the list that gives the figure its columns counts
+    ten = tuple(0.5 * k for k in range(1, 11))
+    FigureSpec(fig_id, points=MAX_POINTS, **{other: ten})
+    for unlisted in (1, 2, 3, 6):
+        FigureSpec(unlisted, points=MAX_POINTS, A_list=ten, L_list=ten)
+    # every other fault is named first
+    with pytest.raises(DomainError, match="sweeps need"):
+        FigureSpec(fig_id, points=MAX_POINTS + 1, **four)
+    with pytest.raises(DomainError, match="must not repeat"):
+        FigureSpec(fig_id, points=MAX_POINTS, **{name: (0.5, 1.0, 2.0, 4.0, 4.0)})
+    with pytest.raises(GeometryError, match="field order parameter"):
+        FigureSpec(fig_id, points=MAX_POINTS, g=-1.0, **four)
 
 
 @pytest.mark.parametrize("fig_id", range(1, 7))

@@ -80,8 +80,20 @@ def test_energy_shift_and_force_chain_are_finite_or_rejected(a, L, xi0, alpha, g
 @given(finite)
 @example(-1e-20)  # rounds up to 2 pi under % 2 pi
 @example(-5e-324)
-def test_apparatus_tilt_is_stored_in_zero_to_two_pi(alpha):
-    assert 0.0 <= PlateApparatus(1.0, 0.01, 0.0, alpha).alpha < 2.0 * math.pi
+@example(2.0 * math.pi + 0.25)
+def test_apparatus_tilt_is_stored_as_given(alpha):
+    assert PlateApparatus(1.0, 0.01, 0.0, alpha).alpha.hex() == alpha.hex()
+
+
+# cos is even and libm reduces its argument exactly, so the shift is even to the bit
+@_SETTINGS
+@given(finite)
+@example(math.pi / 2)
+def test_closed_energy_shift_is_even_in_the_tilt(alpha):
+    field = WeakField(1e-3)
+    left, right = (delta_energy_closed(PlateApparatus(1.0, 0.01, 0.001, tilt), field)
+                   for tilt in (alpha, -alpha))
+    assert left.hex() == right.hex()
 
 
 @_SETTINGS

@@ -42,7 +42,7 @@ VALUES = [
      "SchemeComparison(energy_per_area={<SchemeKind.ZETA_CLOSED_FORM: 'zeta'>: "
      "SeriesResult(value=-1.0, error_bound=0.0, terms_used=50)}, max_relative_discrepancy=0.0)"),
     (lambda: PlateApparatus(a=1.0, L=0.1, alpha=-1.0), ("a", "L", "xi0", "alpha", "polarizations"),
-     "PlateApparatus(a=1.0, L=0.1, xi0=0.0, alpha=5.283185307179586, polarizations=2)"),
+     "PlateApparatus(a=1.0, L=0.1, xi0=0.0, alpha=-1.0, polarizations=2)"),
     (lambda: WeakField(), ("g",), "WeakField(g=0.0)"),
     (lambda: FigureSpec(fig_id=1), ("fig_id", "L_min", "L_max", "points", "A_min", "A_max",
                                     "A_list", "L_list", "g", "polarizations"),

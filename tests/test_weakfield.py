@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -127,6 +128,16 @@ def test_delta_energy_zero_configurations():
     horizontal = PlateApparatus(1.0, 0.1, 0.5, math.pi / 2, 2)
     assert abs(delta_energy_closed(horizontal, fld)) <= 1e-12
     assert delta_energy_closed(PlateApparatus(1.0, 0.1, 0.5), WeakField(0.0)) == 0.0
+
+
+# near a zero of cos, and far from 0, where a tilt reduced before cos loses its sign or digits
+@pytest.mark.parametrize("alpha", [-math.pi / 2, 1e12, 1e15, 1e300])
+def test_delta_energy_closed_against_mpmath_at_hard_tilts(alpha):
+    app, g = PlateApparatus(1.0, 0.01, 0.001, alpha, 2), 1e-3
+    with mpmath.workdps(50):
+        e_c = -2 * mpmath.pi ** 2 / (1440 * mpmath.mpf(app.L) ** 3)
+        exact = -mpmath.mpf(app.a) ** 2 * g * e_c * mpmath.mpf(app.xi0) * mpmath.cos(alpha)
+        assert abs((delta_energy_closed(app, WeakField(g)) - exact) / exact) <= 1e-14
 
 
 def test_delta_energy_sign():
@@ -307,10 +318,10 @@ def test_apparatus_validation_and_normalization():
     assert type(_quiet_apparatus(1.0, 0.01, polarizations=np.int64(1)).polarizations) is int
     with pytest.raises(GeometryError):
         WeakField(-1.0)
+    # the tilt is stored as given, not reduced mod 2 pi
     app = _quiet_apparatus(10.0, 0.1, alpha=2.0 * math.pi + 0.25)
-    assert app.alpha == pytest.approx(0.25)
-    # -1e-20 % (2 pi) rounds up to 2 pi itself, whose sine is -2.4e-16
-    assert _quiet_apparatus(10.0, 0.1, alpha=-1e-20).alpha == 0.0
+    assert app.alpha == 2.0 * math.pi + 0.25
+    assert _quiet_apparatus(10.0, 0.1, alpha=-1e-20).alpha == -1e-20
     assert app.area == 100.0
     tilted = _quiet_apparatus(10.0, 0.1, xi0=2.0, alpha=math.pi / 3)
     assert tilted.z0 == pytest.approx(1.0)

@@ -9,7 +9,8 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
 - the CLI, in-process through ``cli.main``: every subcommand in natural and
   SI units, ``--help``, argument errors, the documented exit-2 cases
   (out-of-domain inputs, results past the double range, SI and natural
-  underflow, a repeated figure list value), an exit-4 write, and inputs
+  underflow, a repeated figure list value, a figure past the cell limit),
+  tilts near a zero of cos or far from 0, an exit-4 write, and inputs
   that 6 or 15 significant digits would round, which each command prints
   back as they read. No CLI input is known to exit 3, so the list has
   none; a library ``ConvergenceError`` is recorded below. Each run
@@ -97,6 +98,10 @@ def cli_runs() -> list[list[str]]:
             ["gravity", "--L", "0.1", "--a", "nan", *m],
             ["gravity", "--L", "0.1", "--a", "1", "--g", "inf", *m],
         ]
+        # tilts near a zero of cos, and far from 0: a reduction before cos loses sign or digits
+        runs += [["gravity", "--L", "0.01", "--a", "1", "--xi0", "0.001", "--g", "1e-3", alpha, *m]
+                 for alpha in ("--alpha=1.5707963267948966", "--alpha=-1.5707963267948966",
+                               "--alpha=1e15", "--alpha=-1e15", "--alpha=1e300")]
     runs += [["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5", "--method", "quadrature",
               "--tolerance", tol] for tol in ("1e-12", "1e-6", "1e-3", "0.5", "0")]
     runs += [["regularize", "--L", L] for L in ("1", "1e-3", "7.3", "1e3", "-1", "nan",
@@ -153,6 +158,9 @@ def cli_runs() -> list[list[str]]:
          "--out", f"{FILES}/figure4-repeat.json"],
         ["figure", "--id", "5", "--L-list", "0.5,0.5", "--out", f"{FILES}/figure5-repeat.csv"],
     ]
+    # a table past the cell limit, refused before the sweep
+    runs += [["figure", "--id", "4", "--A-list", "1,2,3,4", "--points", "1000000",
+              "--out", f"{FILES}/figure4-too-many-cells.csv"]]
     return runs
 
 
