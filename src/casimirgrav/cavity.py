@@ -70,7 +70,8 @@ class CavityConfig(FrozenValue):
 
 
 class StressTensor(FrozenValue):
-    """Diagonal vacuum stress tensor <T^{mu nu}> in the cavity rest frame (a read-only copy)."""
+    """Diagonal vacuum stress tensor <T^{mu nu}> in the cavity rest frame (a
+    read-only copy), equal to another and pickled by its components' values."""
 
     __slots__ = ("components",)
 
@@ -81,6 +82,9 @@ class StressTensor(FrozenValue):
             raise GeometryError("stress tensor must be 4x4")
         c.setflags(write=False)
         super().__init__(c)
+
+    def _values(self) -> tuple:
+        return (self.components.tolist(),)  # an ndarray compares elementwise
 
     def trace(self) -> float:
         """eta_{mu nu} T^{mu nu} with the fixed (-,+,+,+) signature."""

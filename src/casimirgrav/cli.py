@@ -18,6 +18,8 @@ failure, 4 I/O failure (an unwritable ``--out``, or stdout closed before
 the output is read, which prints no error message, since stderr may be
 the same closed pipe). In SI mode lengths are meters, gravity is an
 acceleration in m/s^2 and energy-like outputs are converted through hbar*c.
+Every default is the library's, as a handler passes on only the library
+options given; but ``gravity --g`` is 1 unless given (:class:`WeakField`: 0).
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import warnings
 
 from .cavity import CavityConfig, brown_maclay_tensor, energy_density, energy_per_area, pressure
 from .errors import CasimirError, DomainError, RegimeWarning
-from .figures import FigureSpec, _echo, figure_series, write_csv, write_json
-from .numerics import DEFAULT_RELATIVE_TOLERANCE, QuadratureSpec, relative_discrepancy
-from .regularization import DEFAULT_IMAGE_TERMS, compare_schemes, riemann_zeta
+from .figures import FIGURE_TITLES, FigureSpec, _echo, figure_series, write_csv, write_json
+from .numerics import QuadratureSpec, relative_discrepancy
+from .regularization import compare_schemes, riemann_zeta
 from .units import energy_like_to_si, gravity_to_natural
 from .weakfield import (
     PlateApparatus,
@@ -64,6 +66,11 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The options among ``names`` given on the command line (the rest are unset)."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
 def _add_units_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--units",
@@ -78,14 +85,14 @@ def _cmd_compute(args: argparse.Namespace) -> list[str]:
         out, unit = energy_like_to_si, (" J/m^2" if args.quantity == "energy-per-area" else " Pa")
     else:
         out, unit = float, ""
-    cfg = CavityConfig(args.L, args.polarizations)
+    cfg = CavityConfig(args.L, **_given(args, "polarizations"))
     if args.quantity == "energy-density":
         return [f"energy density (one polarization) = {_fmt(out(energy_density(args.L)))}{unit}"]
     if args.quantity == "energy-per-area":
         return [f"energy per area = {_fmt(out(energy_per_area(cfg)))}{unit}"]
     if args.quantity == "pressure":
         return [f"pressure = {_fmt(out(pressure(cfg)))}{unit}"]
-    tensor = brown_maclay_tensor(cfg, flip_transverse_y=args.flip_transverse_y)
+    tensor = brown_maclay_tensor(cfg, **_given(args, "flip_transverse_y"))
     return [f"vacuum stress tensor T^(mu nu){',' + unit if unit else ''}:",
             *["  " + "  ".join(f"{out(v):>22.15g}" for v in row) for row in tensor.components],
             f"trace (eta_mn T^mn) = {_fmt(out(tensor.trace()))}"]
@@ -96,13 +103,14 @@ def _cmd_gravity(args: argparse.Namespace) -> list[str]:
         out, g_nat, energy, per_area = energy_like_to_si, gravity_to_natural(args.g), " J", " Pa"
     else:
         out, g_nat, energy, per_area = float, args.g, "", ""
-    app = PlateApparatus(args.a, args.L, args.xi0, args.alpha, args.polarizations)
+    app = PlateApparatus(args.a, args.L, **_given(args, "xi0", "alpha", "polarizations"))
     fld = WeakField(g_nat)
     cfg = app.cavity()
 
     closed = delta_energy_closed(app, fld)
     if args.method == "quadrature":
-        quad = delta_energy_quadrature(app, fld, QuadratureSpec(args.tolerance))
+        spec = QuadratureSpec(**_given(args, "relative_tolerance"))
+        quad = delta_energy_quadrature(app, fld, spec)
         delta_e = quad.value
         discrepancy = relative_discrepancy([closed, quad.value])
     else:
@@ -121,29 +129,20 @@ def _cmd_gravity(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_figure(args: argparse.Namespace) -> list[str]:
-    spec = FigureSpec(
-        fig_id=args.id,
-        L_min=args.Lmin,
-        L_max=args.Lmax,
-        points=args.points,
-        A_min=args.Amin,
-        A_max=args.Amax,
-        A_list=_parse_float_list(args.A_list),
-        L_list=_parse_float_list(args.L_list),
-        g=args.g,
-        polarizations=args.polarizations,
-    )
-    data = figure_series(spec)
+    options = {name: _parse_float_list(value) if name.endswith("_list") else value
+               for name, value in _given(args, *FigureSpec.__slots__).items()}
+    data = figure_series(FigureSpec(**options))
     if args.format == "csv":
         write_csv(data, args.out)
     else:
         write_json(data, args.out)
-    return [f"figure {args.id}: wrote {len(data.series[0])} rows x "
+    return [f"figure {args.fig_id}: wrote {len(data.series[0])} rows x "
             f"{len(data.columns)} columns to {args.out}"]
 
 
 def _cmd_regularize(args: argparse.Namespace) -> list[str]:
-    report = compare_schemes(args.L, n_terms=args.n_terms, quad=QuadratureSpec(args.tolerance))
+    report = compare_schemes(args.L, **_given(args, "n_terms"),
+                             quad=QuadratureSpec(**_given(args, "relative_tolerance")))
     return [f"scalar energy per area at L = {_echo(args.L, '.15g')} (natural units):",
             *[f"  {kind.value:<12} value = {_fmt(result.value)}   "
               f"error bound = {result.error_bound:.3e}"
@@ -162,52 +161,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", help="closed-form cavity observables")
+    p = sub.add_parser("compute", help="closed-form cavity observables",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("quantity",
                    choices=["energy-density", "energy-per-area", "pressure", "stress-tensor"])
     p.add_argument("--L", type=float, required=True, help="plate separation")
-    p.add_argument("--polarizations", type=int, default=2, choices=[1, 2])
+    p.add_argument("--polarizations", type=int, choices=[1, 2])
     p.add_argument("--flip-transverse-y", action="store_true",
                    help="stress-tensor only: the non-traceless diag(1,-1,1,3) variant")
     _add_units_flag(p)
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("gravity", help="weak-field corrections to the Casimir force")
+    p = sub.add_parser("gravity", help="weak-field corrections to the Casimir force",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--L", type=float, required=True, help="plate separation")
     p.add_argument("--a", type=float, required=True, help="transverse plate side")
-    p.add_argument("--xi0", type=float, default=0.0, help="center offset along plate normal")
-    p.add_argument("--alpha", type=float, default=0.0, help="tilt from gravity direction (rad)")
+    p.add_argument("--xi0", type=float, help="center offset along plate normal")
+    p.add_argument("--alpha", type=float, help="tilt from gravity direction (rad)")
     p.add_argument("--g", type=float, default=1.0,
                    help="gravity order parameter (natural: 1/length; si: m/s^2)")
-    p.add_argument("--polarizations", type=int, default=2, choices=[1, 2])
+    p.add_argument("--polarizations", type=int, choices=[1, 2])
     p.add_argument("--method", choices=["closed", "quadrature"], default="closed")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_RELATIVE_TOLERANCE,
+    p.add_argument("--tolerance", dest="relative_tolerance", metavar="TOLERANCE", type=float,
                    help="quadrature relative tolerance")
     _add_units_flag(p)
     p.set_defaults(func=_cmd_gravity)
 
-    p = sub.add_parser("figure", help="emit figure data series (natural units)")
-    p.add_argument("--id", type=int, required=True, choices=range(1, 7))
+    p = sub.add_parser("figure", help="emit figure data series (natural units)",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--id", dest="fig_id", type=int, required=True, choices=FIGURE_TITLES)
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--Lmin", type=float, default=0.5)
-    p.add_argument("--Lmax", type=float, default=5.0)
-    p.add_argument("--Amin", type=float, default=0.5)
-    p.add_argument("--Amax", type=float, default=5.0)
-    p.add_argument("--A-list", dest="A_list", default="1,2,4",
-                   help="comma-separated areas (figure 4)")
-    p.add_argument("--L-list", dest="L_list", default="0.5,1,2",
-                   help="comma-separated separations (figure 5)")
-    p.add_argument("--g", type=float, default=1.0)
-    p.add_argument("--polarizations", type=int, default=2, choices=[1, 2])
+    p.add_argument("--points", type=int)
+    p.add_argument("--Lmin", dest="L_min", metavar="LMIN", type=float)
+    p.add_argument("--Lmax", dest="L_max", metavar="LMAX", type=float)
+    p.add_argument("--Amin", dest="A_min", metavar="AMIN", type=float)
+    p.add_argument("--Amax", dest="A_max", metavar="AMAX", type=float)
+    p.add_argument("--A-list", dest="A_list", help="comma-separated areas (figure 4)")
+    p.add_argument("--L-list", dest="L_list", help="comma-separated separations (figure 5)")
+    p.add_argument("--g", type=float)
+    p.add_argument("--polarizations", type=int, choices=[1, 2])
     p.set_defaults(func=_cmd_figure)
 
-    p = sub.add_parser("regularize", help="compare the three regularization schemes")
+    p = sub.add_parser("regularize", help="compare the three regularization schemes",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--L", type=float, required=True, help="plate separation")
-    p.add_argument("--n-terms", dest="n_terms", type=int, default=DEFAULT_IMAGE_TERMS,
-                   help="image-sum term count")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_RELATIVE_TOLERANCE,
+    p.add_argument("--n-terms", dest="n_terms", type=int, help="image-sum term count")
+    p.add_argument("--tolerance", dest="relative_tolerance", metavar="TOLERANCE", type=float,
                    help="abel-plana quadrature relative tolerance")
     p.set_defaults(func=_cmd_regularize)
 

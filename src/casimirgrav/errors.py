@@ -79,26 +79,25 @@ def check_normal(value: float, what: str, *factors: float) -> float:
 class FrozenValue:
     """Base of the package's immutable value types.
 
-    A subclass names its fields in ``__slots__`` (a name starting with ``_``,
-    such as a cache, is private state and no field), validates its arguments
-    in ``__init__`` and then calls ``FrozenValue.__init__`` with every field
-    in declaration order, which sets each one once; a wrong count raises
-    :class:`ValueError`. Assigning or deleting an attribute afterwards raises
-    :class:`AttributeError`. Equality (between values of one class), hash
-    and repr go over the fields in declaration order; a value pickles and
-    copies by constructing it again from its fields.
+    A subclass's ``__slots__`` name its fields and are its whole state, with
+    no private slot; they are also its ``__match_args__``. It validates its
+    arguments in ``__init__`` and then calls ``FrozenValue.__init__`` with
+    every field in declaration order, which sets each one once; a wrong count
+    raises :class:`ValueError`. Assigning or deleting an attribute afterwards
+    raises :class:`AttributeError`. Equality (between values of one class),
+    hash and repr go over the fields in declaration order; a value pickles
+    and copies by constructing it again from its fields.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        cls.__match_args__ = cls._fields
+        cls.__match_args__ = cls.__slots__
 
     def __init__(self, *values) -> None:
         set_field = object.__setattr__  # one lookup per value, not per field
-        for name, value in zip(self._fields, values, strict=True):
+        for name, value in zip(self.__slots__, values, strict=True):
             set_field(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -108,7 +107,7 @@ class FrozenValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -119,7 +118,7 @@ class FrozenValue:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -4,7 +4,7 @@ Each figure sweeps a closed-form observable against plate separation or
 plate area. The sweep ranges are library defaults, recorded as comment
 metadata in the emitted files. All series are produced in natural units, as
 lists of Python floats: sweeps and writers run without numpy, which loads
-only when :attr:`FigureData.rows` is read.
+only when :attr:`FigureData.rows` is read; it builds a new array on each read.
 """
 
 from __future__ import annotations
@@ -87,10 +87,10 @@ class FigureData(FrozenValue):
 
     ``series`` holds one list of Python floats per name in ``columns``, all
     of one length; ``metadata`` defaults to a new empty list. :attr:`rows`
-    stacks the series into a numpy array on first use; nothing else here
+    stacks the series into a new numpy array on each read; nothing else here
     loads numpy."""
 
-    __slots__ = ("columns", "series", "metadata", "_rows")
+    __slots__ = ("columns", "series", "metadata")
 
     def __init__(self, columns: list[str], series: list[list[float]],
                  metadata: list[str] | None = None) -> None:
@@ -98,13 +98,9 @@ class FigureData(FrozenValue):
 
     @property
     def rows(self) -> np.ndarray:
-        """The series as one (points, columns) float array, built once on first use."""
-        try:
-            return self._rows
-        except AttributeError:
-            import numpy as np
-            object.__setattr__(self, "_rows", np.column_stack(self.series))
-            return self._rows
+        """The series as one new (points, columns) float array."""
+        import numpy as np
+        return np.column_stack(self.series)
 
 
 def _echo(value: float, spec: str = "g") -> str:
@@ -174,8 +170,8 @@ def figure_series(spec: FigureSpec) -> FigureData:
         check_finite(-2.0 * max(map(abs, delta)), "F_iso / A")  # F^I / A = -2 Delta F / A
         cols = [delta, [-2.0 * d + d for d in delta]]
     # a product that overflows is inf (Python float products do not raise)
-    if not all(all(map(math.isfinite, col)) for col in products):
-        raise DomainError(f"figure {spec.fig_id} overflows the double range for these inputs")
+    for col in products:
+        check_finite(max(map(abs, col)), f"figure {spec.fig_id}")
     for col in products:
         check_normal(min(map(abs, col)), f"figure {spec.fig_id}", g)
     return FigureData(names, [x, *cols], meta + [sweep])

@@ -38,8 +38,6 @@ __all__ = [
 _EPS = sys.float_info.epsilon
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 
-DEFAULT_RELATIVE_TOLERANCE = 1e-9  # of QuadratureSpec()
-
 _MAX_SPLITS = 40  # panel splits before ConvergenceError
 # [lo, inf) mapped onto u in [0, 1) starts as these two panels
 _SEMI_INFINITE_PANELS = (((0.0, 0.5),), ((0.5, 1.0),))
@@ -81,7 +79,7 @@ class QuadratureSpec(FrozenValue):
 
     __slots__ = ("relative_tolerance",)
 
-    def __init__(self, relative_tolerance: float = DEFAULT_RELATIVE_TOLERANCE) -> None:
+    def __init__(self, relative_tolerance: float = 1e-9) -> None:
         if not 0.0 < relative_tolerance <= 1e-2:
             raise DomainError("relative_tolerance must lie in (0, 1e-2]")
         super().__init__(relative_tolerance)

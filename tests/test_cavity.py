@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_stress_tensor_holds_a_read_only_copy():
     with pytest.raises(ValueError):
         brown_maclay.components[1, 1] = 0.0
     assert brown_maclay.trace() == trace
+
+
+def test_stress_tensor_compares_and_pickles_by_its_components():
+    tensor = brown_maclay_tensor(CavityConfig(1.0))
+    assert tensor == brown_maclay_tensor(CavityConfig(1.0))
+    assert tensor == StressTensor(tensor.components.tolist())
+    assert tensor != brown_maclay_tensor(CavityConfig(2.0))
+    assert tensor != brown_maclay_tensor(CavityConfig(1.0), flip_transverse_y=True)
+    restored = pickle.loads(pickle.dumps(tensor))
+    assert restored == tensor
+    np.testing.assert_array_equal(restored.components, tensor.components)
+    with pytest.raises(ValueError):
+        restored.components[0, 0] = 7.0
+    with pytest.raises(TypeError):
+        hash(tensor)
 
 
 def test_cavity_config_validation():

@@ -18,6 +18,7 @@ from casimirgrav.errors import (
     LightConeError,
     RegimeWarning,
 )
+from casimirgrav.figures import FigureSpec, figure_series, write_csv
 from casimirgrav.units import HBAR_C
 
 
@@ -380,6 +381,30 @@ def test_figure_past_the_cell_limit_exits_2_without_a_sweep(fig_id, option, tmp_
     assert capsys.readouterr().err == (
         f"error: figure {fig_id} would have 5000000 cells, over the limit of 4000000\n")
     assert not out_file.exists()
+
+
+# the library supplies every default, so a minimal command line sets no library option
+@pytest.mark.parametrize("argv, parsed", [
+    (["compute", "pressure", "--L", "1"], {"quantity": "pressure", "L": 1.0, "units": "natural"}),
+    (["gravity", "--L", "0.1", "--a", "1"],
+     {"L": 0.1, "a": 1.0, "g": 1.0, "method": "closed", "units": "natural"}),
+    (["figure", "--id", "4", "--out", "f.csv"], {"fig_id": 4, "out": "f.csv", "format": "csv"}),
+    (["regularize", "--L", "1"], {"L": 1.0}),
+    (["zeta", "--s", "4"], {"s": 4.0}),
+], ids=["compute", "gravity", "figure", "regularize", "zeta"])
+def test_minimal_command_line_sets_no_library_option(argv, parsed):
+    args = vars(cli.build_parser().parse_args(argv))
+    assert args.pop("command") == argv[0]
+    assert args.pop("func") is getattr(cli, f"_cmd_{argv[0]}")
+    assert args == parsed
+
+
+@pytest.mark.parametrize("fig_id", range(1, 7))
+def test_figure_without_options_writes_the_library_default(fig_id, tmp_path, capsys):
+    out_file = tmp_path / "cli.csv"
+    assert main(["figure", "--id", str(fig_id), "--out", str(out_file)]) == 0
+    write_csv(figure_series(FigureSpec(fig_id)), str(tmp_path / "library.csv"))
+    assert out_file.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
 def test_figure_bad_range_exits_2(capsys):

@@ -286,13 +286,20 @@ def test_writers_across_block_boundaries(points, tmp_path):
         assert (tmp_path / "fig.json").read_text() == _reference_json(data)
 
 
-def test_rows_is_stacked_once_on_first_use():
+def test_rows_is_a_new_array_on_each_read(tmp_path):
     data = figure_series(FigureSpec(6, points=9))
     assert all(type(v) is float for col in data.series for v in col)
+    write_csv(data, str(tmp_path / "before.csv"))
+    series = [list(col) for col in data.series]
     rows = data.rows
     assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
     np.testing.assert_array_equal(rows, np.column_stack(data.series))
-    assert data.rows is rows
+    assert data.rows is not rows
+    rows[0, 1] = 123.0  # writing into one read reaches no later read, series or file
+    np.testing.assert_array_equal(data.rows, np.column_stack(series))
+    assert data.series == series
+    write_csv(data, str(tmp_path / "after.csv"))
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
 
 def test_linspace_matches_numpy_bit_for_bit():
