@@ -99,17 +99,18 @@ def _cmd_compute(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_gravity(args: argparse.Namespace) -> list[str]:
-    if args.units == "si":
-        out, g_nat, energy, per_area = energy_like_to_si, gravity_to_natural(args.g), " J", " Pa"
-    else:
-        out, g_nat, energy, per_area = float, args.g, "", ""
     app = PlateApparatus(args.a, args.L, **_given(args, "xi0", "alpha", "polarizations"))
-    fld = WeakField(g_nat)
+    fld = WeakField(args.g)
+    if args.units == "si":
+        out, energy, per_area = energy_like_to_si, " J", " Pa"
+        fld = WeakField(gravity_to_natural(fld.g))
+    else:
+        out, energy, per_area = float, "", ""
     cfg = app.cavity()
 
     closed = delta_energy_closed(app, fld)
+    spec = QuadratureSpec(**_given(args, "relative_tolerance"))  # checked with either method
     if args.method == "quadrature":
-        spec = QuadratureSpec(**_given(args, "relative_tolerance"))
         quad = delta_energy_quadrature(app, fld, spec)
         delta_e = quad.value
         discrepancy = relative_discrepancy([closed, quad.value])

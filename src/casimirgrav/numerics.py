@@ -5,8 +5,10 @@ bounds.
 
 One adaptive loop serves every integral. A panel is a box with the rule
 already evaluated on it and on its 2^d half-boxes; its error estimate is
-|sum of halves - whole|. The worst panel is split into its half-boxes, each
-refined against the value it already carries, so no box is evaluated twice.
+|sum of halves - whole|. The panels are kept in a list, in the order they
+were made. The worst panel, the oldest among equal errors, is split into
+its half-boxes, each refined against the value it already carries, so no
+box is evaluated twice.
 
 All functions are pure; nothing here keeps mutable state, so every entry
 point is safe to call concurrently (integrands supplied by callers must be
@@ -15,11 +17,11 @@ reentrant themselves).
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from functools import lru_cache
 from itertools import count, product, repeat, starmap
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import (ConvergenceError, DivergentSeriesError, DomainError, FrozenValue,
@@ -161,26 +163,15 @@ def _box_sums(f, box, nodes, weights) -> tuple[float, float]:
     return scale * total, gross
 
 
-class _Panel(tuple):
-    """Heap entry ``(-error, value, gross, halves)``, ``halves`` holding
-    ``(half-box, value, gross)`` per half-box, ordered by error alone. Mirror
-    panels of a symmetric integrand can tie on error while their values
-    differ in the last bit; a plain tuple would break that tie on the value,
-    split the other panel and move the result."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: _Panel) -> bool:
-        return self[0] < other[0]
-
-
-def _refined_panel(f, box, coarse: float, nodes, weights) -> _Panel:
-    """Panel of ``box`` whose value sums the 2^d half-boxes; its error is the
-    difference against ``coarse``, the single-box estimate."""
+def _refined_panel(f, box, coarse: float, nodes, weights) -> tuple:
+    """Panel ``(error, value, gross, halves)`` of ``box``: ``value`` sums the
+    2^d half-boxes, ``halves`` holds ``(half-box, value, gross)`` for each,
+    and ``error`` is the difference against ``coarse``, the single-box
+    estimate."""
     bisected = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in box]
     halves = [(half, *_box_sums(f, half, nodes, weights)) for half in product(*bisected)]
     fine = math.fsum(h[1] for h in halves)
-    return _Panel((-abs(fine - coarse), fine, math.fsum(h[2] for h in halves), halves))
+    return abs(fine - coarse), fine, math.fsum(h[2] for h in halves), halves
 
 
 def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
@@ -188,17 +179,17 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
     with the same number of axes; see the module docstring."""
     dim = len(boxes[0])
     nodes, weights = _gauss_legendre(dim)
-    heap: list[_Panel] = []
+    panels = []
     for box in boxes:
         coarse, _ = _box_sums(f, box, nodes, weights)
-        heapq.heappush(heap, _refined_panel(f, box, coarse, nodes, weights))
+        panels.append(_refined_panel(f, box, coarse, nodes, weights))
     evals = len(boxes) * (1 + 2 ** dim) * len(weights)
 
     splits = 0
     while True:
-        total = math.fsum(p[1] for p in heap)
-        err = math.fsum(-p[0] for p in heap)
-        gross = math.fsum(p[2] for p in heap)
+        total = math.fsum(p[1] for p in panels)
+        err = math.fsum(p[0] for p in panels)
+        gross = math.fsum(p[2] for p in panels)
         # The second acceptance branch stops refinement once the estimated
         # error sits at the rounding noise of the accumulated quadrature
         # sums; below that level the relative target is unattainable.
@@ -210,9 +201,10 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
                 f"{spec.relative_tolerance:g} within {_MAX_SPLITS} "
                 f"subdivisions (estimated error {err:.3e} on value {total:.6e})"
             )
-        *_, halves = heapq.heappop(heap)  # the worst panel
-        for half_box, coarse, _ in halves:
-            heapq.heappush(heap, _refined_panel(f, half_box, coarse, nodes, weights))
+        worst = max(panels, key=itemgetter(0))  # the oldest of equal errors
+        panels.remove(worst)
+        for half_box, coarse, _ in worst[3]:
+            panels.append(_refined_panel(f, half_box, coarse, nodes, weights))
         evals += 4 ** dim * len(weights)
         splits += 1
 

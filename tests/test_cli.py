@@ -77,6 +77,18 @@ def test_si_conversion_underflow_exits_2(argv, capsys):
     assert captured.out == ""
 
 
+# the closed form refuses a bad --tolerance as the quadrature does, and SI mode
+# checks --g as typed, before converting it, as natural units do
+@pytest.mark.parametrize("argv, message", [
+    (["--tolerance", "5"], "relative_tolerance must lie in (0, 1e-2]"),
+    (["--units", "si", "--g", "-1"], "field order parameter must be finite and >= 0, got -1.0"),
+    (["--units", "si", "--g", "nan"], "field order parameter must be finite and >= 0, got nan"),
+])
+def test_gravity_checks_each_option_as_given(argv, message, capsys):
+    assert main(["gravity", "--L", "0.1", "--a", "1", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_si_conversion_rescales_a_subnormal_intermediate(capsys):
     # T^00 * hbar is subnormal at L = 1e70, but T^00 * hbar * c is normal
     assert main(["compute", "stress-tensor", "--L", "1e70", "--units", "si"]) == 0

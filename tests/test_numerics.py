@@ -161,16 +161,36 @@ def test_integrate_nd_three_axes():
     assert res.value == pytest.approx(0.125, rel=1e-12)
 
 
-def test_panels_that_tie_on_error_split_in_heap_order():
-    # Mirror panels of this integrand tie on error while their values differ
-    # in the last bit (two quadrants: -0x1.1b2f9b8304000p-10 on values ...cbb3p+2
-    # and ...cbb4p+2). Panels order by error alone; breaking the tie on the
-    # value splits the other panel and gives 0x1.6652dfbcf923fp+4.
+def test_panels_that_tie_on_error_split_oldest_first(monkeypatch):
+    # The quadrant panels of this integrand tie on error; the two with x > 0
+    # (0x1.1b2f9b8304000p-10) differ in the last bit of their values: ...cbb3p+2
+    # for y < 0, made first, and ...cbb4p+2 for y > 0. The oldest splits first;
+    # breaking the tie on the value splits the y > 0 quadrant first and gives
+    # 0x1.6652dfbcf923ep+4.
+    boxes = []
+    box_sums = numerics._box_sums
+
+    def spy(f, box, *rule):
+        boxes.append(box)
+        return box_sums(f, box, *rule)
+
+    monkeypatch.setattr(numerics, "_box_sums", spy)
     res = integrate_nd(lambda x, y: 1.0 / (1e-3 + x * x + y * y), [Interval(-1.0, 1.0)] * 2,
                        QuadratureSpec(1e-6))
-    assert res.value.hex() == "0x1.6652dfbcf923ep+4"
-    assert res.error_bound.hex() == "0x1.6f194df65e000p-16"
+    assert res.value.hex() == "0x1.6652dfbcf923fp+4"
+    assert res.error_bound.hex() == "0x1.6f194df5d2000p-16"
     assert res.terms_used == 34048
+
+    def quadrants(side):
+        """Quadrants, as (x >= 0, y >= 0), in the order of their first box of this side."""
+        return list(dict.fromkeys(tuple(lo >= 0.0 for lo, _ in box) for box in boxes
+                                  if all(hi - lo == side for lo, hi in box)))
+
+    # a quadrant's panel is made when its halves (side 1/2) are evaluated, and
+    # split when their halves (side 1/4) are
+    made = quadrants(0.5)
+    assert made == [(False, False), (False, True), (True, False), (True, True)]
+    assert quadrants(0.25) == made
 
 
 def test_integrate_nd_rejects_bad_boxes():

@@ -22,8 +22,9 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
   the image sum over the same N, ``riemann_zeta`` over s in (1, 54], the
   Abel-Plana regulators, seeded ``compare_schemes`` and energy-shift draws
   over tolerances 1e-12 to 1e-3, and ``integrate_1d`` / ``integrate_nd`` on
-  symmetric integrands that split; an input the producer refuses records
-  the error's type and message.
+  symmetric integrands that split, one of them through mirror panels that
+  tie on error; an input the producer refuses records the error's type and
+  message.
 
 Every difference is printed with its relative size, and the exit status is
 1 on any difference, 0 otherwise. Both trees take about 8 s together on a
@@ -104,6 +105,10 @@ def cli_runs() -> list[list[str]]:
                                "--alpha=1e15", "--alpha=-1e15", "--alpha=1e300")]
     runs += [["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5", "--method", "quadrature",
               "--tolerance", tol] for tol in ("1e-12", "1e-6", "1e-3", "0.5", "0")]
+    # a closed-form --tolerance, and an SI --g refused before its conversion
+    runs += [["gravity", "--L", "0.1", "--a", "1", "--tolerance", "5"],
+             *[["gravity", "--L", "0.1", "--a", "1", "--units", "si", "--g", g]
+               for g in ("-1", "nan")]]
     runs += [["regularize", "--L", L] for L in ("1", "1e-3", "7.3", "1e3", "-1", "nan",
                                                   "1e300")]
     runs += [["regularize", "--L", "1", "--n-terms", n] for n in
@@ -269,6 +274,10 @@ def library_records() -> dict:
         for spec in specs[::3]:
             records[f"integrate_nd({name}, [-1, 1]^{dim}, {spec!r})"] = attempt(
                 integrate_nd, f, [Interval(-1.0, 1.0)] * dim, spec)
+    # mirror panels that tie on error with values a bit apart: the tie rule shows
+    tie = QuadratureSpec(1e-6)
+    records[f"integrate_nd(1 / (1e-3 + x^2 + y^2), [-1, 1]^2, {tie!r})"] = attempt(
+        integrate_nd, lambda x, y: 1.0 / (1e-3 + x * x + y * y), [Interval(-1.0, 1.0)] * 2, tie)
     semi_infinite = (
         ("t^2 e^-t", lambda t: t * t * math.exp(-t)),
         ("sin(t) e^-t", lambda t: math.sin(t) * math.exp(-t)),
