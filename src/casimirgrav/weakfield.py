@@ -176,21 +176,33 @@ def delta_energy_quadrature(
 ) -> SeriesResult:
     """Gravitational energy shift by direct quadrature of its three terms.
 
-    The three double integrals are evaluated exactly as they arise from
-    the stress-tensor coupling, without the simplifications that yield the
-    closed form (term 1 has a constant integrand; the eta-odd part of
-    term 3 integrates to zero numerically rather than by assumption):
+    The shift is the sum of three double integrals, as they arise from the
+    stress-tensor coupling, without the simplifications that yield the
+    closed form:
 
       (6 E_C/L)  int d(eta) d(chi) (1/4) g cos(a) (-2 xi0 L)
     - (2 E_C/L)  int d(xi) d(chi)  (1/2) g cos(a) (-a) xi
     - (2 E_C/L)  int d(xi) d(eta)  (1/2) g (xi cos(a) + eta sin(a)) (-a)
 
     with eta, chi over [-a/2, a/2] and xi over [xi0 - L/2, xi0 + L/2].
+    Term 1's integrand is a constant, so its integral is that constant
+    times the box area a^2: one evaluation and a bound of 0, as for
+    Abel-Plana at even exponents. Terms 2 and 3 share their box and their
+    front factor, so they are one adaptive integral,
+
+    - (2 E_C/L)  int ds dt  [(1/2) g cos(a) (-a) xi
+                             + (1/2) g (xi cos(a) + t sin(a)) (-a)],  xi = xi0 - s,
+
+    over s in [-L/2, L/2] and t in [-a/2, a/2]. The centred s keeps the
+    width of the normal interval exactly L however large xi0 is (the ends
+    xi0 +- L/2 round), and the t-odd part of term 3 integrates to zero
+    numerically rather than by assumption. Either sign of s gives the same
+    integral and only moves the last bits of its rounding noise.
+
     This is the independent check of :func:`delta_energy_closed`. Products
     of per-call constants are computed once, each as the left-most part of
     the formula above read left to right, so every node gets the same
-    doubles as the literal integrands; term 1 is still integrated at every
-    node.
+    doubles as the literal integrand.
     """
     _warn_linearized_regime(app, field)
     e_c = energy_per_area(app.cavity())
@@ -198,19 +210,21 @@ def delta_energy_quadrature(
     ca = math.cos(app.alpha)
     sa = math.sin(app.alpha)
     a, L, xi0 = app.a, app.L, app.xi0
-    transverse = Interval(-0.5 * a, 0.5 * a)
-    normal = Interval(xi0 - 0.5 * L, xi0 + 0.5 * L)
     # left-most parts of the left-to-right products above: regrouping changes bits
-    c1 = 0.25 * g * ca * (-2.0 * xi0 * L)
     c2 = 0.5 * g * ca * (-a)
     h, na = 0.5 * g, -a
 
-    term1 = integrate_nd(lambda eta, chi: c1, [transverse, transverse], spec)
-    term2 = integrate_nd(lambda xi, chi: c2 * xi, [normal, transverse], spec)
-    term3 = integrate_nd(lambda xi, eta: h * (xi * ca + eta * sa) * na, [normal, transverse], spec)
+    def terms23(s: float, t: float) -> float:
+        xi = xi0 - s
+        return c2 * xi + h * (xi * ca + t * sa) * na
 
-    # terms 2 and 3 share their front factor, so they are summed before scaling
-    return term1.scaled(6.0 * e_c / L) + (term2 + term3).scaled(-2.0 * e_c / L)
+    # integrated before term 1's product, so a box past the double range is
+    # refused by the quadrature on its first box
+    sum23 = integrate_nd(terms23, [Interval(-0.5 * L, 0.5 * L), Interval(-0.5 * a, 0.5 * a)],
+                         spec)
+    c1 = 0.25 * g * ca * (-2.0 * xi0 * L)
+    term1 = SeriesResult(c1 * a * a, 0.0, 1)
+    return term1.scaled(6.0 * e_c / L) + sum23.scaled(-2.0 * e_c / L)
 
 
 def delta_force_per_area(field: WeakField, cfg: CavityConfig) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 from casimirgrav.cavity import CavityConfig, SpacetimePoint, energy_per_area
 from casimirgrav.errors import DomainError, GeometryError, RegimeWarning
-from casimirgrav.numerics import Interval, QuadratureSpec, integrate_nd
+from casimirgrav.numerics import Interval, QuadratureSpec, SeriesResult, integrate_nd
 from casimirgrav.weakfield import (
     PlateApparatus,
     WeakField,
@@ -183,23 +183,23 @@ def test_delta_energy_grid_agreement():
 
 
 def _literal_delta_energy_quadrature(app, field, spec):
-    """The three integrals of the delta_energy_quadrature docstring, each
+    """The delta_energy_quadrature docstring's term 1, its constant integrand
+    times the box area a^2, and its one integral of terms 2 and 3, that
     integrand written out as there and integrated by integrate_nd."""
     e_c = energy_per_area(app.cavity())
     g = field.g
     ca = math.cos(app.alpha)
     sa = math.sin(app.alpha)
     a, L, xi0 = app.a, app.L, app.xi0
-    transverse = Interval(-0.5 * a, 0.5 * a)
-    normal = Interval(xi0 - 0.5 * L, xi0 + 0.5 * L)
-    term1 = integrate_nd(
-        lambda eta, chi: 0.25 * g * ca * (-2.0 * xi0 * L), [transverse, transverse], spec
-    )
-    term2 = integrate_nd(lambda xi, chi: 0.5 * g * ca * (-a) * xi, [normal, transverse], spec)
-    term3 = integrate_nd(
-        lambda xi, eta: 0.5 * g * (xi * ca + eta * sa) * (-a), [normal, transverse], spec
-    )
-    return term1.scaled(6.0 * e_c / L) + (term2 + term3).scaled(-2.0 * e_c / L)
+
+    def terms23(s, t):
+        xi = xi0 - s
+        return 0.5 * g * ca * (-a) * xi + 0.5 * g * (xi * ca + t * sa) * (-a)
+
+    sum23 = integrate_nd(terms23, [Interval(-0.5 * L, 0.5 * L), Interval(-0.5 * a, 0.5 * a)],
+                         spec)
+    term1 = SeriesResult(0.25 * g * ca * (-2.0 * xi0 * L) * a * a, 0.0, 1)
+    return term1.scaled(6.0 * e_c / L) + sum23.scaled(-2.0 * e_c / L)
 
 
 def _energy_shift_draws():
@@ -232,6 +232,48 @@ def test_quadrature_is_the_literal_integrands_bit_for_bit():
         want = _literal_delta_energy_quadrature(app, field, spec)
         assert (got.value.hex(), got.error_bound.hex(), got.terms_used) == (
             want.value.hex(), want.error_bound.hex(), want.terms_used), (a, L, xi0, alpha, g, tol)
+
+
+def _bound_draws():
+    """200 seeded (a, L, xi0, alpha, g): a log-uniform in [0.1, 100], L/a in
+    [1e-3, 0.08] and g in [1e-6, 1e-2] log-uniform, xi0 within 0.45 L of the
+    centre, alpha in [0, 2 pi)."""
+    rng = np.random.default_rng(21)
+    draws = []
+    for _ in range(200):
+        a = float(10.0 ** rng.uniform(-1, 2))
+        L = a * float(10.0 ** rng.uniform(-3, math.log10(0.08)))
+        xi0 = float(rng.uniform(-0.45, 0.45)) * L
+        draws.append((a, L, xi0, float(rng.uniform(0.0, 2.0 * math.pi)),
+                      float(10.0 ** rng.uniform(-6, -2))))
+    return draws
+
+
+# alpha = 0, the CLI default, is where the refinement estimate is most often
+# exactly 0: the rule is exact on these linear integrands, while the rounding is not
+@pytest.mark.parametrize("tilted", [True, False], ids=["random-alpha", "alpha-0"])
+def test_energy_shift_bound_holds_on_seeded_draws(tilted):
+    # value +- error_bound must enclose -A g E_C xi0 cos(alpha) at 50 digits
+    with mpmath.workdps(50):
+        for a, L, xi0, alpha, g in _bound_draws():
+            alpha = alpha if tilted else 0.0
+            res = delta_energy_quadrature(_quiet_apparatus(a, L, xi0, alpha), WeakField(g))
+            e_c = -2 * mpmath.pi ** 2 / (1440 * mpmath.mpf(L) ** 3)
+            truth = -mpmath.mpf(a) ** 2 * g * e_c * xi0 * mpmath.cos(alpha)
+            assert res.error_bound > 0, (a, L, xi0, alpha, g)
+            assert abs(res.value - truth) <= res.error_bound, (a, L, xi0, alpha, g)
+
+
+# xi0 +- L/2 rounds at these offsets, to an interval whose width is not L
+# (or to an empty one from xi0/L ~ 1e17 up); the centred s keeps the width L
+@pytest.mark.parametrize("xi0", [1e10, 1e13, 1e20])
+def test_quadrature_at_large_plate_offsets(xi0):
+    app, field = _quiet_apparatus(1.0, 0.01, xi0, 0.3), WeakField(1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)  # g xi0 is far past 0.1
+        closed = delta_energy_closed(app, field)
+        quad = delta_energy_quadrature(app, field)
+    assert abs(quad.value - closed) <= 1e-12 * abs(closed)
 
 
 def test_force_chain_values():

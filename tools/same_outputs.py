@@ -10,10 +10,13 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
   SI units, ``--help``, argument errors, the documented exit-2 cases
   (out-of-domain inputs, results past the double range, SI and natural
   underflow, a repeated figure list value, a figure past the cell limit),
-  tilts near a zero of cos or far from 0, an exit-4 write, and inputs
-  that 6 or 15 significant digits would round, which each command prints
-  back as they read. No CLI input is known to exit 3, so the list has
-  none; a library ``ConvergenceError`` is recorded below. Each run
+  tilts near a zero of cos or far from 0, quadrature energy shifts at
+  plate offsets of 1e13 and 1e20 (L = 0.01, where xi0 +- L/2 round) and
+  at ``--alpha 0`` (a linear integrand the rule integrates exactly), an
+  exit-4 write, and inputs that 6 or 15 significant digits would round,
+  which each command prints back as they read. No CLI input is known to
+  exit 3, so the list has none; a library ``ConvergenceError`` is
+  recorded below. Each run
   records its exit code, standard output and standard error;
 - figures 1-6 in CSV and JSON at 200, 4 095, 4 096 and 4 097 points, and
   with each sweep option: the bytes of each file;
@@ -21,10 +24,11 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
   sum over p in [1.0001, 12] and N in {1, 2, 9741, 9742, 10^4, 10^5, 10^6},
   the image sum over the same N, ``riemann_zeta`` over s in (1, 54], the
   Abel-Plana regulators, seeded ``compare_schemes`` and energy-shift draws
-  over tolerances 1e-12 to 1e-3, and ``integrate_1d`` / ``integrate_nd`` on
-  symmetric integrands that split, one of them through mirror panels that
-  tie on error; an input the producer refuses records the error's type and
-  message.
+  over tolerances 1e-12 to 1e-3 (each draw also at alpha = 0 and at the
+  default tolerance), energy shifts at plate offsets of 1e10 to 1e20, and
+  ``integrate_1d`` / ``integrate_nd`` on symmetric integrands that split,
+  one of them through mirror panels that tie on error; an input the
+  producer refuses records the error's type and message.
 
 Every difference is printed with its relative size, and the exit status is
 1 on any difference, 0 otherwise. Both trees take about 8 s together on a
@@ -105,6 +109,13 @@ def cli_runs() -> list[list[str]]:
                                "--alpha=1e15", "--alpha=-1e15", "--alpha=1e300")]
     runs += [["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5", "--method", "quadrature",
               "--tolerance", tol] for tol in ("1e-12", "1e-6", "1e-3", "0.5", "0")]
+    # plate offsets where xi0 +- L/2 round, and an upright apparatus, whose
+    # integrand the rule integrates exactly
+    runs += [["gravity", "--L", "0.01", "--a", "1", "--xi0", xi0, "--g", g, "--method",
+              "quadrature"] for xi0, g in (("1e13", "1e-20"), ("1e20", "1e-3"))]
+    runs += [["gravity", "--L", "0.07649575060165491", "--a", "76.4957506016549", "--xi0",
+              "0.027769238218540142", "--g", "0.004175415730934189", "--alpha", "0",
+              "--method", "quadrature"]]
     # a closed-form --tolerance, and an SI --g refused before its conversion
     runs += [["gravity", "--L", "0.1", "--a", "1", "--tolerance", "5"],
              *[["gravity", "--L", "0.1", "--a", "1", "--units", "si", "--g", g]
@@ -262,6 +273,11 @@ def library_records() -> dict:
             field = WeakField(_log_uniform(rng, 1e-6, 1e-2))
             for spec in specs:
                 add("delta_energy_quadrature", delta_energy_quadrature, app, field, spec)
+            upright = PlateApparatus(app.a, app.L, app.xi0, 0.0, app.polarizations)
+            add("delta_energy_quadrature", delta_energy_quadrature, upright, field)
+        for xi0 in (1e10, 1e13, 1e20):  # xi0 +- L/2 round
+            add("delta_energy_quadrature", delta_energy_quadrature,
+                PlateApparatus(1.0, 0.01, xi0, 0.3), WeakField(1e-3))
 
     symmetric = (
         ("exp(-30 (x^2 + y^2))", lambda x, y: math.exp(-30.0 * (x * x + y * y)), 2),
