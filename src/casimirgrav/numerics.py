@@ -10,7 +10,9 @@ were made. The worst panel, the oldest among equal errors, is split into
 its half-boxes, each refined against the value it already carries, so no
 box is evaluated twice. The reported bound adds 64 u (u = 2^-53) times the
 quadrature of |f| to the panel estimates, for the rounding of the sums,
-which |sum of halves - whole| does not see.
+which |sum of halves - whole| does not see, and an absolute term for
+gradual underflow, which no relative term sees once the integral is
+subnormal.
 
 All functions are pure; nothing here keeps mutable state, so every entry
 point is safe to call concurrently (integrands supplied by callers must be
@@ -40,6 +42,9 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
+# spacing of the subnormals, 2 eta: a product that underflows is off by at most
+# eta = 2^-1075 (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §2.1)
+_TINY = 2.0 ** -1074
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 
 _MAX_SPLITS = 40  # panel splits before ConvergenceError
@@ -100,8 +105,9 @@ class SeriesResult(FrozenValue):
     - quadrature (:func:`integrate_1d`, :func:`integrate_nd`, Abel-Plana,
       the quadrature energy shift): the sum over panels of
       |half-box refinement - single-box estimate|, plus 64 u (u = 2^-53)
-      times the quadrature of |f| for the rounding of the sums;
-      integrand evaluations.
+      times the quadrature of |f| for the rounding of the sums, plus
+      2^-1074 per evaluation, times the largest starting box's
+      half-volume plus 1/16, for gradual underflow; integrand evaluations.
     - Abel-Plana at even exponents: 0, the value being exactly zero; 1.
     - term 1 of the quadrature energy shift, a constant times its box
       area: 0; 1.
@@ -185,6 +191,8 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
     with the same number of axes; see the module docstring."""
     dim = len(boxes[0])
     nodes, weights = _gauss_legendre(dim)
+    # every later box lies inside one of these, with a smaller scaling
+    half_volume = max(math.prod(0.5 * (hi - lo) for lo, hi in box) for box in boxes)
     panels = []
     for box in boxes:
         coarse, _ = _box_sums(f, box, nodes, weights)
@@ -201,8 +209,13 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
         # sums; below that level the relative target is unattainable.
         if err <= max(spec.relative_tolerance * abs(total), 64.0 * _EPS * gross):
             # 64 u gross, u = eps / 2: where the rule is exact, fine and
-            # coarse can agree to the bit while their rounding does not vanish
-            return SeriesResult(total, err + 32.0 * _EPS * gross, evals)
+            # coarse can agree to the bit while their rounding does not vanish.
+            # Below the normal range that term underflows to 0, so each
+            # evaluation adds 2 eta, for f's last product and its weight's, times
+            # its box's half-volume, and each box 2 eta for the products that
+            # scale it; nothing when every w |f| is 0, which the rule sums exactly.
+            underflow = _TINY * evals * (half_volume + 1.0 / len(weights)) if gross else 0.0
+            return SeriesResult(total, err + 32.0 * _EPS * gross + underflow, evals)
         if splits >= _MAX_SPLITS:
             raise ConvergenceError(
                 f"quadrature did not reach relative tolerance "
@@ -242,8 +255,9 @@ def integrate_1d(
 
     Returns:
       :class:`SeriesResult` with the refinement error estimate plus
-      64 u (u = 2^-53) times the quadrature of |f| as bound, and the number
-      of integrand evaluations as ``terms_used``.
+      64 u (u = 2^-53) times the quadrature of |f| and a gradual-underflow
+      term as bound, and the number of integrand evaluations as
+      ``terms_used``.
 
     Raises:
       DomainError: if ``f`` produces NaN/Inf at a quadrature node.
@@ -274,7 +288,7 @@ def integrate_nd(
     positional float per axis, ``f(x0, ..., x_{n-1})``. The reported bound
     is the sum of those disagreements over all panels, after at most 40
     panel splits, plus 64 u (u = 2^-53) times the quadrature of |f| for
-    the rounding of the sums.
+    the rounding of the sums and a gradual-underflow term.
     """
     ivs = list(box)
     if not 1 <= len(ivs) <= 3:

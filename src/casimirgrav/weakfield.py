@@ -187,22 +187,25 @@ def delta_energy_quadrature(
     with eta, chi over [-a/2, a/2] and xi over [xi0 - L/2, xi0 + L/2].
     Term 1's integrand is a constant, so its integral is that constant
     times the box area a^2: one evaluation and a bound of 0, as for
-    Abel-Plana at even exponents. Terms 2 and 3 share their box and their
-    front factor, so they are one adaptive integral,
+    Abel-Plana at even exponents. Terms 2 and 3 share their front factor,
+    and their integrand is a function of xi plus a function of eta, so
+    each part is one adaptive integral over its own variable, with the
+    other axis's extent as a factor:
 
-    - (2 E_C/L)  int ds dt  [(1/2) g cos(a) (-a) xi
-                             + (1/2) g (xi cos(a) + t sin(a)) (-a)],  xi = xi0 - s,
+    - (2 E_C/L) [ int ds  a [(1/2) g cos(a) (-a) xi + (1/2) g (xi cos(a)) (-a)]
+                + int dt  L [(1/2) g (t sin(a)) (-a)] ],  xi = xi0 - s,
 
-    over s in [-L/2, L/2] and t in [-a/2, a/2]. The centred s keeps the
-    width of the normal interval exactly L however large xi0 is (the ends
-    xi0 +- L/2 round), and the t-odd part of term 3 integrates to zero
-    numerically rather than by assumption. Either sign of s gives the same
-    integral and only moves the last bits of its rounding noise.
+    over s in [-L/2, L/2] and t in [-a/2, a/2], the normal integral
+    first. The centred s keeps the width of the normal interval exactly L
+    however large xi0 is (the ends xi0 +- L/2 round), and the t-odd
+    transverse part integrates to zero numerically rather than by
+    assumption. Either sign of s gives the same integral and only moves the
+    last bits of its rounding noise.
 
     This is the independent check of :func:`delta_energy_closed`. Products
     of per-call constants are computed once, each as the left-most part of
     the formula above read left to right, so every node gets the same
-    doubles as the literal integrand.
+    doubles as the literal integrands.
     """
     _warn_linearized_regime(app, field)
     e_c = energy_per_area(app.cavity())
@@ -214,17 +217,20 @@ def delta_energy_quadrature(
     c2 = 0.5 * g * ca * (-a)
     h, na = 0.5 * g, -a
 
-    def terms23(s: float, t: float) -> float:
+    def normal(s: float) -> float:
         xi = xi0 - s
-        return c2 * xi + h * (xi * ca + t * sa) * na
+        return a * (c2 * xi + h * (xi * ca) * na)
 
-    # integrated before term 1's product, so a box past the double range is
-    # refused by the quadrature on its first box
-    sum23 = integrate_nd(terms23, [Interval(-0.5 * L, 0.5 * L), Interval(-0.5 * a, 0.5 * a)],
-                         spec)
+    def transverse(t: float) -> float:
+        return L * (h * (t * sa) * na)
+
+    # a inside the normal integrand, and both integrated before term 1's
+    # product, so a box past the double range is refused on its first box
+    parts = (integrate_nd(normal, [Interval(-0.5 * L, 0.5 * L)], spec)
+             + integrate_nd(transverse, [Interval(-0.5 * a, 0.5 * a)], spec))
     c1 = 0.25 * g * ca * (-2.0 * xi0 * L)
     term1 = SeriesResult(c1 * a * a, 0.0, 1)
-    return term1.scaled(6.0 * e_c / L) + sum23.scaled(-2.0 * e_c / L)
+    return term1.scaled(6.0 * e_c / L) + parts.scaled(-2.0 * e_c / L)
 
 
 def delta_force_per_area(field: WeakField, cfg: CavityConfig) -> float:

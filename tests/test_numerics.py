@@ -245,11 +245,29 @@ def test_abel_plana_evaluations():
     assert abel_plana_regularized_power_sum(3).terms_used == 2 * 3 * 16
 
 
+@pytest.mark.parametrize("f, iv, exact", [
+    (lambda x: 1e-310 * (x + 0.3), Interval(0.0, 1.0),
+     lambda: mpmath.mpf(1e-310) * (mpmath.mpf(0.5) + mpmath.mpf(0.3))),
+    (lambda x: 3e-320 * x * x, Interval(0.1, 1.0),
+     lambda: mpmath.mpf(3e-320) * (1 - mpmath.mpf(0.1) ** 3) / 3),
+], ids=["1e-310 (x + 0.3)", "3e-320 x^2"])
+def test_subnormal_integral_bound_holds(f, iv, exact):
+    # 64 u times a subnormal quadrature of |f| underflows to 0; the
+    # gradual-underflow term keeps the bound positive and enclosing
+    res = integrate_nd(f, [iv])
+    with mpmath.workdps(50):
+        assert 0.0 < abs(mpmath.mpf(res.value) - exact()) <= res.error_bound
+
+
+def test_integrand_zero_at_every_node_has_bound_zero():
+    assert integrate_nd(lambda x, y: 0.0, [Interval(0.0, 1.0)] * 2) == SeriesResult(0.0, 0.0, 1280)
+
+
 def test_delta_energy_quadrature_evaluations():
     app = PlateApparatus(1.0, 0.1, 0.5, 0.3, 2)
-    # one 2-axis integral of a linear integrand, one panel of 5 boxes, and
-    # term 1's constant integrand, evaluated once
-    assert delta_energy_quadrature(app, WeakField(1e-3)).terms_used == 5 * 16 ** 2 + 1
+    # two 1-axis integrals of linear integrands, one panel of 3 boxes each,
+    # and term 1's constant integrand, evaluated once
+    assert delta_energy_quadrature(app, WeakField(1e-3)).terms_used == 2 * 3 * 16 + 1
 
 
 @pytest.mark.parametrize("f, box, exact", [

@@ -11,8 +11,9 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
   (out-of-domain inputs, results past the double range, SI and natural
   underflow, a repeated figure list value, a figure past the cell limit),
   tilts near a zero of cos or far from 0, quadrature energy shifts at
-  plate offsets of 1e13 and 1e20 (L = 0.01, where xi0 +- L/2 round) and
-  at ``--alpha 0`` (a linear integrand the rule integrates exactly), an
+  plate offsets of 1e13 and 1e20 (L = 0.01, where xi0 +- L/2 round), at
+  ``--alpha 0`` (a linear integrand the rule integrates exactly) and at
+  ``--alpha 1e-310`` (a subnormal transverse integral), an
   exit-4 write, and inputs that 6 or 15 significant digits would round,
   which each command prints back as they read. No CLI input is known to
   exit 3, so the list has none; a library ``ConvergenceError`` is
@@ -25,10 +26,14 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
   the image sum over the same N, ``riemann_zeta`` over s in (1, 54], the
   Abel-Plana regulators, seeded ``compare_schemes`` and energy-shift draws
   over tolerances 1e-12 to 1e-3 (each draw also at alpha = 0 and at the
-  default tolerance), energy shifts at plate offsets of 1e10 to 1e20, and
+  default tolerance), energy shifts at plate offsets of 1e10 to 1e20, at
+  alpha = 1e-310 (a subnormal transverse integral) and at xi0 = 0 with
+  alpha = +-pi/2 (the transverse integral carries the whole result),
   ``integrate_1d`` / ``integrate_nd`` on symmetric integrands that split,
-  one of them through mirror panels that tie on error; an input the
-  producer refuses records the error's type and message.
+  one of them through mirror panels that tie on error, and ``integrate_nd``
+  on two integrals below the normal range (1e-310 (x + 0.3) on [0, 1],
+  3e-320 x^2 on [0.1, 1]), whose bound is the gradual-underflow term; an
+  input the producer refuses records the error's type and message.
 
 Every difference is printed with its relative size, and the exit status is
 1 on any difference, 0 otherwise. Both trees take about 8 s together on a
@@ -109,12 +114,15 @@ def cli_runs() -> list[list[str]]:
                                "--alpha=1e15", "--alpha=-1e15", "--alpha=1e300")]
     runs += [["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5", "--method", "quadrature",
               "--tolerance", tol] for tol in ("1e-12", "1e-6", "1e-3", "0.5", "0")]
-    # plate offsets where xi0 +- L/2 round, and an upright apparatus, whose
-    # integrand the rule integrates exactly
+    # plate offsets where xi0 +- L/2 round, an upright apparatus, whose
+    # integrand the rule integrates exactly, and a tilt whose transverse
+    # integral is subnormal
     runs += [["gravity", "--L", "0.01", "--a", "1", "--xi0", xi0, "--g", g, "--method",
               "quadrature"] for xi0, g in (("1e13", "1e-20"), ("1e20", "1e-3"))]
     runs += [["gravity", "--L", "0.07649575060165491", "--a", "76.4957506016549", "--xi0",
               "0.027769238218540142", "--g", "0.004175415730934189", "--alpha", "0",
+              "--method", "quadrature"]]
+    runs += [["gravity", "--L", "0.1", "--a", "1", "--xi0", "0.5", "--alpha", "1e-310",
               "--method", "quadrature"]]
     # a closed-form --tolerance, and an SI --g refused before its conversion
     runs += [["gravity", "--L", "0.1", "--a", "1", "--tolerance", "5"],
@@ -278,6 +286,10 @@ def library_records() -> dict:
         for xi0 in (1e10, 1e13, 1e20):  # xi0 +- L/2 round
             add("delta_energy_quadrature", delta_energy_quadrature,
                 PlateApparatus(1.0, 0.01, xi0, 0.3), WeakField(1e-3))
+        # a subnormal transverse integral, then one that is the whole result
+        for xi0, alpha in ((0.5, 1e-310), (0.0, 0.5 * math.pi), (0.0, -0.5 * math.pi)):
+            add("delta_energy_quadrature", delta_energy_quadrature,
+                PlateApparatus(1.0, 0.1, xi0, alpha), WeakField(1e-3))
 
     symmetric = (
         ("exp(-30 (x^2 + y^2))", lambda x, y: math.exp(-30.0 * (x * x + y * y)), 2),
@@ -294,6 +306,11 @@ def library_records() -> dict:
     tie = QuadratureSpec(1e-6)
     records[f"integrate_nd(1 / (1e-3 + x^2 + y^2), [-1, 1]^2, {tie!r})"] = attempt(
         integrate_nd, lambda x, y: 1.0 / (1e-3 + x * x + y * y), [Interval(-1.0, 1.0)] * 2, tie)
+    # below the normal range, where 64 u gross underflows to 0
+    records["integrate_nd(1e-310 (x + 0.3), [0, 1])"] = attempt(
+        integrate_nd, lambda x: 1e-310 * (x + 0.3), [Interval(0.0, 1.0)])
+    records["integrate_nd(3e-320 x^2, [0.1, 1])"] = attempt(
+        integrate_nd, lambda x: 3e-320 * x * x, [Interval(0.1, 1.0)])
     semi_infinite = (
         ("t^2 e^-t", lambda t: t * t * math.exp(-t)),
         ("sin(t) e^-t", lambda t: math.sin(t) * math.exp(-t)),
