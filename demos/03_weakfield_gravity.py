@@ -3,9 +3,10 @@
 Builds the two gauge tables of the metric perturbation, verifies by finite
 differences that the gauge vector carries one into the other, evaluates
 the gravitational energy shift both by direct quadrature of its three
-integrals and by the closed form -A g E_C z0, and walks the force chain
-Delta F/A = g E_C, F_iso/A = -2 g E_C, F_fermi/A = -g E_C. Ends with SI
-numbers for a real micron-scale cavity in lab gravity.
+terms, as one integral over a unit interval, and by the closed form
+-A g E_C z0, and walks the force chain Delta F/A = g E_C,
+F_iso/A = -2 g E_C, F_fermi/A = -g E_C. Ends with SI numbers for a real
+micron-scale cavity in lab gravity.
 """
 
 import math
@@ -63,7 +64,7 @@ print("  FD symmetrized gradient of the gauge vector (diagonal):", np.diag(grad)
 print(f"  max |gradient - (h_F - h_I)| = {np.max(np.abs(grad - target)):.2e}")
 
 print()
-print("gravitational energy shift: quadrature of the three integrals vs closed form")
+print("gravitational energy shift: quadrature over the unit interval vs closed form")
 print(f"  {'alpha':>6} {'xi0':>5} {'closed':>16} {'quadrature':>16} {'rel diff':>10}")
 for alpha, xi0 in ((0.0, 0.5), (math.pi / 6, 0.5), (math.pi / 4, -1.0), (math.pi / 3, 2.0)):
     app = PlateApparatus(1.0, 0.1, xi0, alpha, 2)

@@ -109,8 +109,6 @@ class SeriesResult(FrozenValue):
       2^-1074 per evaluation, times the largest starting box's
       half-volume plus 1/16, for gradual underflow; integrand evaluations.
     - Abel-Plana at even exponents: 0, the value being exactly zero; 1.
-    - term 1 of the quadrature energy shift, a constant times its box
-      area: 0; 1.
     - the zeta closed form in ``compare_schemes``: 0; the 50 terms of the
       Euler-Maclaurin sum behind ``riemann_zeta``.
 

@@ -185,27 +185,29 @@ def delta_energy_quadrature(
     - (2 E_C/L)  int d(xi) d(eta)  (1/2) g (xi cos(a) + eta sin(a)) (-a)
 
     with eta, chi over [-a/2, a/2] and xi over [xi0 - L/2, xi0 + L/2].
-    Term 1's integrand is a constant, so its integral is that constant
-    times the box area a^2: one evaluation and a bound of 0, as for
-    Abel-Plana at even exponents. Terms 2 and 3 share their front factor,
-    and their integrand is a function of xi plus a function of eta, so
-    each part is one adaptive integral over its own variable, with the
-    other axis's extent as a factor:
+    Term 1's integrand is a constant, and the others are a function of xi
+    plus a function of eta, so each part is a 1-D integral times the extent
+    of the axis it does not depend on. With xi = xi0 - L u and eta = a u,
+    all run over u in [-1/2, 1/2], and the shift is one adaptive integral
 
-    - (2 E_C/L) [ int ds  a [(1/2) g cos(a) (-a) xi + (1/2) g (xi cos(a)) (-a)]
-                + int dt  L [(1/2) g (t sin(a)) (-a)] ],  xi = xi0 - s,
+      int du g [(6 E_C/L) c1 a^2 + (-2 E_C/L) (L a N(xi0 - L u) + a L T(a u))]
 
-    over s in [-L/2, L/2] and t in [-a/2, a/2], the normal integral
-    first. The centred s keeps the width of the normal interval exactly L
-    however large xi0 is (the ends xi0 +- L/2 round), and the t-odd
-    transverse part integrates to zero numerically rather than by
-    assumption. Either sign of s gives the same integral and only moves the
-    last bits of its rounding noise.
+    with c1 = (1/4) cos(a) (-2 xi0 L), N(xi) = (1/2) cos(a) (-a) xi +
+    (1/2) (xi cos(a)) (-a) and T(t) = (1/2) (t sin(a)) (-a). Term 1 needs
+    no special case: over the unit interval its constant integrates to
+    itself, and its rounding is bounded with the rest of the integrand.
+    Scaling u by L keeps the normal interval's width exactly L however
+    large xi0 is (the ends xi0 +- L/2 round), and the u-odd transverse part
+    integrates to zero numerically rather than by assumption. The factor g,
+    common to all three terms, multiplies last: it may be as small as a
+    subnormal, and bits that a product loses to underflow before -2 E_C/L
+    multiplies it are in no bound term, while the quadrature's underflow
+    term covers the last product.
 
     This is the independent check of :func:`delta_energy_closed`. Products
     of per-call constants are computed once, each as the left-most part of
-    the formula above read left to right, so every node gets the same
-    doubles as the literal integrands.
+    the integrand read left to right, so every node gets the same doubles
+    as the literal formula.
     """
     _warn_linearized_regime(app, field)
     e_c = energy_per_area(app.cavity())
@@ -214,23 +216,18 @@ def delta_energy_quadrature(
     sa = math.sin(app.alpha)
     a, L, xi0 = app.a, app.L, app.xi0
     # left-most parts of the left-to-right products above: regrouping changes bits
-    c2 = 0.5 * g * ca * (-a)
-    h, na = 0.5 * g, -a
+    term1 = 6.0 * e_c / L * (0.25 * ca * (-2.0 * xi0 * L)) * a * a
+    front = -2.0 * e_c / L
+    la = L * a  # also a L: a rounded product does not depend on the order
+    c2 = 0.5 * ca * (-a)
+    na = -a
 
-    def normal(s: float) -> float:
-        xi = xi0 - s
-        return a * (c2 * xi + h * (xi * ca) * na)
+    def unit(u: float) -> float:
+        xi = xi0 - L * u
+        return g * (term1 + front * (la * (c2 * xi + 0.5 * (xi * ca) * na)
+                                     + la * (0.5 * ((a * u) * sa) * na)))
 
-    def transverse(t: float) -> float:
-        return L * (h * (t * sa) * na)
-
-    # a inside the normal integrand, and both integrated before term 1's
-    # product, so a box past the double range is refused on its first box
-    parts = (integrate_nd(normal, [Interval(-0.5 * L, 0.5 * L)], spec)
-             + integrate_nd(transverse, [Interval(-0.5 * a, 0.5 * a)], spec))
-    c1 = 0.25 * g * ca * (-2.0 * xi0 * L)
-    term1 = SeriesResult(c1 * a * a, 0.0, 1)
-    return term1.scaled(6.0 * e_c / L) + parts.scaled(-2.0 * e_c / L)
+    return integrate_nd(unit, [Interval(-0.5, 0.5)], spec)
 
 
 def delta_force_per_area(field: WeakField, cfg: CavityConfig) -> float:

@@ -45,11 +45,12 @@ def _holds(value, bound, truth):
 _SPECIAL_TILTS = (0.0, 0.5 * math.pi, -0.5 * math.pi, 1e-310)
 
 
-# a log-uniform in [1e-3, 1e3], L / a in [1e-4, 0.1] and g in [1e-300, 1];
+# a log-uniform in [1e-3, 1e3], L / a in [1e-4, 0.1] and g in [1e-320, 1], where
+# subnormal g reaches the bound's underflow term;
 # xi0 zero or of either sign, log-uniform from 1e-300 L up to a; alpha 0,
 # +-pi/2, subnormal, or of either sign and magnitude 1e-310 to 1e300
 @_search(1500)
-@given(st.floats(-3.0, 3.0), st.floats(-4.0, -1.0), st.floats(-300.0, 0.0),
+@given(st.floats(-3.0, 3.0), st.floats(-4.0, -1.0), st.floats(-320.0, 0.0),
        st.sampled_from((-1.0, 0.0, 1.0)), st.floats(0.0, 1.0),
        st.integers(0, len(_SPECIAL_TILTS) + 1), st.floats(-310.0, 300.0), st.sampled_from((1, 2)))
 def test_energy_shift_quadrature_bound_searched(log_a, log_ratio, log_g, xi0_sign, xi0_place,

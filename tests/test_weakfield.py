@@ -7,7 +7,7 @@ import pytest
 
 from casimirgrav.cavity import CavityConfig, SpacetimePoint, energy_per_area
 from casimirgrav.errors import DomainError, GeometryError, RegimeWarning
-from casimirgrav.numerics import Interval, QuadratureSpec, SeriesResult, integrate_nd
+from casimirgrav.numerics import Interval, QuadratureSpec, integrate_nd
 from casimirgrav.weakfield import (
     PlateApparatus,
     WeakField,
@@ -184,9 +184,8 @@ def test_delta_energy_grid_agreement():
 
 
 def _literal_delta_energy_quadrature(app, field, spec):
-    """The delta_energy_quadrature docstring's term 1, its constant integrand
-    times the box area a^2, and its normal and transverse integrals of terms
-    2 and 3, those integrands written out as there and integrated by
+    """The delta_energy_quadrature docstring's single integrand over the unit
+    interval, g times the rest, written out as there and integrated by
     integrate_nd."""
     e_c = energy_per_area(app.cavity())
     g = field.g
@@ -194,17 +193,14 @@ def _literal_delta_energy_quadrature(app, field, spec):
     sa = math.sin(app.alpha)
     a, L, xi0 = app.a, app.L, app.xi0
 
-    def normal(s):
-        xi = xi0 - s
-        return a * (0.5 * g * ca * (-a) * xi + 0.5 * g * (xi * ca) * (-a))
+    def unit(u):
+        xi = xi0 - L * u
+        t = a * u
+        return g * (6.0 * e_c / L * (0.25 * ca * (-2.0 * xi0 * L)) * a * a
+                    + (-2.0 * e_c / L) * (L * a * (0.5 * ca * (-a) * xi + 0.5 * (xi * ca) * (-a))
+                                          + a * L * (0.5 * (t * sa) * (-a))))
 
-    def transverse(t):
-        return L * (0.5 * g * (t * sa) * (-a))
-
-    parts = (integrate_nd(normal, [Interval(-0.5 * L, 0.5 * L)], spec)
-             + integrate_nd(transverse, [Interval(-0.5 * a, 0.5 * a)], spec))
-    term1 = SeriesResult(0.25 * g * ca * (-2.0 * xi0 * L) * a * a, 0.0, 1)
-    return term1.scaled(6.0 * e_c / L) + parts.scaled(-2.0 * e_c / L)
+    return integrate_nd(unit, [Interval(-0.5, 0.5)], spec)
 
 
 def _energy_shift_draws():
