@@ -88,10 +88,7 @@ class StressTensor(FrozenValue):
 
     def trace(self) -> float:
         """eta_{mu nu} T^{mu nu} with the fixed (-,+,+,+) signature."""
-        total = 0.0
-        for mu, eta in enumerate(METRIC_DIAGONAL):
-            total += eta * float(self.components[mu, mu])
-        return total
+        return _trace(self.components.diagonal().tolist())
 
 
 class SpacetimePoint(FrozenValue):
@@ -107,8 +104,9 @@ class SpacetimePoint(FrozenValue):
 
 
 # The closed forms as plain float kernels, each formula written once: the
-# public functions below and the figure sweeps both call them. They check
-# nothing; callers pass an L that check_geometry accepts.
+# public functions below, the figure sweeps, the weak-field energy shifts and
+# the CLI's stress tensor call them. They check nothing; callers pass an L
+# and a polarization count that check_geometry accepts.
 def _energy_density(L: float) -> float:
     return -_PI_SQUARED / (1440.0 * L ** 4)
 
@@ -119,6 +117,19 @@ def _energy_per_area(L: float, polarizations: int) -> float:
 
 def _pressure(L: float, polarizations: int) -> float:
     return 3.0 * (_energy_per_area(L, polarizations) / L)
+
+
+def _stress_diagonal(L: float, polarizations: int,
+                     flip_transverse_y: bool) -> tuple[float, float, float, float]:
+    e_over_l = _energy_per_area(L, polarizations) / L
+    return (e_over_l, -e_over_l, e_over_l if flip_transverse_y else -e_over_l, 3.0 * e_over_l)
+
+
+def _trace(diagonal) -> float:
+    total = 0.0
+    for eta, t in zip(METRIC_DIAGONAL, diagonal):
+        total += eta * t
+    return total
 
 
 def energy_density(L: float) -> float:
@@ -151,10 +162,7 @@ def brown_maclay_tensor(cfg: CavityConfig, flip_transverse_y: bool = False) -> S
     transverse symmetry and is kept only for side-by-side comparison.
     """
     import numpy as np
-    e_over_l = energy_per_area(cfg) / cfg.L
-    yy = e_over_l if flip_transverse_y else -e_over_l
-    components = np.diag([e_over_l, -e_over_l, yy, 3.0 * e_over_l])
-    return StressTensor(components)
+    return StressTensor(np.diag(_stress_diagonal(cfg.L, cfg.polarizations, flip_transverse_y)))
 
 
 def feynman_propagator(x: SpacetimePoint, x2: SpacetimePoint) -> float:

@@ -29,7 +29,10 @@ import os
 import sys
 import warnings
 
-from .cavity import CavityConfig, brown_maclay_tensor, energy_density, energy_per_area, pressure
+from .cavity import (CavityConfig, _stress_diagonal, _trace, energy_density, energy_per_area,
+                     pressure)
+# unused here, but bench/tracing.py wraps it on this module and fails without it
+from .cavity import brown_maclay_tensor
 from .errors import CasimirError, DomainError, RegimeWarning
 from .figures import FIGURE_TITLES, FigureSpec, _echo, figure_series, write_csv, write_json
 from .numerics import QuadratureSpec, relative_discrepancy
@@ -92,10 +95,13 @@ def _cmd_compute(args: argparse.Namespace) -> list[str]:
         return [f"energy per area = {_fmt(out(energy_per_area(cfg)))}{unit}"]
     if args.quantity == "pressure":
         return [f"pressure = {_fmt(out(pressure(cfg)))}{unit}"]
-    tensor = brown_maclay_tensor(cfg, **_given(args, "flip_transverse_y"))
+    # the float kernels behind brown_maclay_tensor, so this command loads no numpy;
+    # a store_true flag is in args only when given
+    diagonal = _stress_diagonal(cfg.L, cfg.polarizations, "flip_transverse_y" in args)
     return [f"vacuum stress tensor T^(mu nu){',' + unit if unit else ''}:",
-            *["  " + "  ".join(f"{out(v):>22.15g}" for v in row) for row in tensor.components],
-            f"trace (eta_mn T^mn) = {_fmt(out(tensor.trace()))}"]
+            *["  " + "  ".join(f"{out(d if mu == nu else 0.0):>22.15g}" for nu in range(4))
+              for mu, d in enumerate(diagonal)],
+            f"trace (eta_mn T^mn) = {_fmt(out(_trace(diagonal)))}"]
 
 
 def _cmd_gravity(args: argparse.Namespace) -> list[str]:

@@ -150,9 +150,10 @@ def _gauss_legendre(dim: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return nodes, tuple(math.prod(ws) for ws in product(weights, repeat=dim))
 
 
-def _box_sums(f, box, nodes, weights) -> tuple[float, float]:
+def _box_sums(f, box, nodes, weights) -> tuple[float, float, float]:
     """Tensor Gauss-Legendre estimate of (integral, integral of |f|) on
-    ``box``, one ``(lo, hi)`` per axis."""
+    ``box``, one ``(lo, hi)`` per axis, and the box's half-volume, which
+    scales both."""
     axes = []
     scale = 1.0
     for lo, hi in box:
@@ -170,18 +171,18 @@ def _box_sums(f, box, nodes, weights) -> tuple[float, float]:
     gross *= scale
     if not math.isfinite(gross):
         raise DomainError(f"integral is not finite on the box {box}")
-    return scale * total, gross
+    return scale * total, gross, scale
 
 
 def _refined_panel(f, box, coarse: float, nodes, weights) -> tuple:
     """Panel ``(error, value, gross, halves)`` of ``box``: ``value`` sums the
-    2^d half-boxes, ``halves`` holds ``(half-box, value, gross)`` for each,
+    2^d half-boxes, ``halves`` holds ``(half-box, value, gross, scale)`` for each,
     and ``error`` is the difference against ``coarse``, the single-box
     estimate."""
     bisected = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in box]
     halves = [(half, *_box_sums(f, half, nodes, weights)) for half in product(*bisected)]
-    fine = math.fsum(h[1] for h in halves)
-    return abs(fine - coarse), fine, math.fsum(h[2] for h in halves), halves
+    fine = math.fsum([h[1] for h in halves])
+    return abs(fine - coarse), fine, math.fsum([h[2] for h in halves]), halves
 
 
 def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
@@ -190,18 +191,19 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
     dim = len(boxes[0])
     nodes, weights = _gauss_legendre(dim)
     # every later box lies inside one of these, with a smaller scaling
-    half_volume = max(math.prod(0.5 * (hi - lo) for lo, hi in box) for box in boxes)
+    half_volume = 0.0
     panels = []
     for box in boxes:
-        coarse, _ = _box_sums(f, box, nodes, weights)
+        coarse, _, scale = _box_sums(f, box, nodes, weights)
+        half_volume = max(half_volume, scale)
         panels.append(_refined_panel(f, box, coarse, nodes, weights))
     evals = len(boxes) * (1 + 2 ** dim) * len(weights)
 
     splits = 0
     while True:
-        total = math.fsum(p[1] for p in panels)
-        err = math.fsum(p[0] for p in panels)
-        gross = math.fsum(p[2] for p in panels)
+        total = math.fsum([p[1] for p in panels])
+        err = math.fsum([p[0] for p in panels])
+        gross = math.fsum([p[2] for p in panels])
         # The second acceptance branch stops refinement once the estimated
         # error sits at the rounding noise of the accumulated quadrature
         # sums; below that level the relative target is unattainable.
@@ -222,7 +224,7 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
             )
         worst = max(panels, key=itemgetter(0))  # the oldest of equal errors
         panels.remove(worst)
-        for half_box, coarse, _ in worst[3]:
+        for half_box, coarse, _, _ in worst[3]:
             panels.append(_refined_panel(f, half_box, coarse, nodes, weights))
         evals += 4 ** dim * len(weights)
         splits += 1
@@ -294,7 +296,7 @@ def integrate_nd(
     for iv in ivs:
         if iv.is_semi_infinite:
             raise DomainError("integrate_nd requires finite intervals on every axis")
-    return _adaptive(f, [tuple((iv.lo, iv.hi) for iv in ivs)], spec)
+    return _adaptive(f, [tuple([(iv.lo, iv.hi) for iv in ivs])], spec)
 
 
 def default_step(x: float) -> float:

@@ -24,7 +24,8 @@ import math
 import warnings
 from typing import TYPE_CHECKING, Callable
 
-from .cavity import CavityConfig, SpacetimePoint, check_geometry, energy_per_area, pressure
+from .cavity import (CavityConfig, SpacetimePoint, _energy_per_area, check_geometry,
+                     energy_per_area, pressure)
 from .errors import FrozenValue, GeometryError, RegimeWarning, check_finite, check_normal
 from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_nd
 
@@ -44,6 +45,9 @@ __all__ = [
     "fermi_force_per_area",
     "fractional_correction",
 ]
+
+# delta_energy_quadrature's variable u runs over [-1/2, 1/2] for every apparatus
+_UNIT_BOX = (Interval(-0.5, 0.5),)
 
 
 class PlateApparatus(FrozenValue):
@@ -166,7 +170,7 @@ def gauge_field(field: WeakField) -> Callable[[SpacetimePoint], np.ndarray]:
 def delta_energy_closed(app: PlateApparatus, field: WeakField) -> float:
     """Gravitational energy shift Delta E = -A g E_C xi0 cos(alpha)."""
     _warn_linearized_regime(app, field)
-    e_c = energy_per_area(app.cavity())
+    e_c = _energy_per_area(app.L, app.polarizations)  # checked with the apparatus
     return check_normal(-app.area * field.g * e_c * app.xi0 * math.cos(app.alpha), "Delta E_g",
                         field.g, app.xi0)
 
@@ -210,7 +214,7 @@ def delta_energy_quadrature(
     as the literal formula.
     """
     _warn_linearized_regime(app, field)
-    e_c = energy_per_area(app.cavity())
+    e_c = _energy_per_area(app.L, app.polarizations)  # checked with the apparatus
     g = field.g
     ca = math.cos(app.alpha)
     sa = math.sin(app.alpha)
@@ -227,7 +231,7 @@ def delta_energy_quadrature(
         return g * (term1 + front * (la * (c2 * xi + 0.5 * (xi * ca) * na)
                                      + la * (0.5 * ((a * u) * sa) * na)))
 
-    return integrate_nd(unit, [Interval(-0.5, 0.5)], spec)
+    return integrate_nd(unit, _UNIT_BOX, spec)
 
 
 def delta_force_per_area(field: WeakField, cfg: CavityConfig) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,16 +11,18 @@ from pathlib import Path
 import pytest
 
 from casimirgrav import cli
+from casimirgrav.cavity import L_MAX, L_MIN, CavityConfig, brown_maclay_tensor
 from casimirgrav.cli import main
 from casimirgrav.errors import (
     ConvergenceError,
     DivergentSeriesError,
+    DomainError,
     GeometryError,
     LightConeError,
     RegimeWarning,
 )
 from casimirgrav.figures import FigureSpec, figure_series, write_csv
-from casimirgrav.units import HBAR_C
+from casimirgrav.units import HBAR_C, energy_like_to_si
 
 
 def _value_after_equals(line):
@@ -62,6 +65,32 @@ def test_stress_tensor_trace_in_output_units(capsys):
     natural, si = traces
     assert si == pytest.approx(-8.66750514965169e-4, rel=1e-13)
     assert si == pytest.approx(natural * HBAR_C, rel=1e-13)
+
+
+@pytest.mark.parametrize("units", ["natural", "si"])
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("polarizations", [1, 2])
+def test_stress_tensor_prints_what_the_library_tensor_formats(units, flip, polarizations,
+                                                              capsys):
+    # the command prints from float kernels, the library tensor is a numpy array:
+    # every row and the trace must print alike, or exit 2 where a value underflows
+    out = energy_like_to_si if units == "si" else float
+    rng = random.Random(2026)
+    for _ in range(25):
+        L = 10.0 ** rng.uniform(math.log10(L_MIN), math.log10(L_MAX))
+        tensor = brown_maclay_tensor(CavityConfig(L, polarizations), flip_transverse_y=flip)
+        argv = ["compute", "stress-tensor", "--L", repr(L), "--units", units,
+                "--polarizations", str(polarizations)] + ["--flip-transverse-y"] * flip
+        try:
+            want = ["  " + "  ".join(f"{out(v):>22.15g}" for v in row)
+                    for row in tensor.components]
+            want.append(f"trace (eta_mn T^mn) = {out(tensor.trace()):.15g}")
+        except DomainError:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().out == ""
+            continue
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.splitlines()[1:] == want, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,6 +231,11 @@ def test_math_only_commands_load_no_numpy():
         "for argv in (['zeta', '--s', '4'], ['compute', 'pressure', '--L', '1'],",
         "             ['gravity', '--L', '0.1', '--a', '1', '--xi0', '0.5'],",
         "             ['regularize', '--L', '1'],",
+        "             ['compute', 'stress-tensor', '--L', '1'],",
+        "             ['compute', 'stress-tensor', '--L', '1e-6', '--units', 'si'],",
+        "             ['compute', 'stress-tensor', '--L', '1', '--flip-transverse-y'],",
+        "             ['compute', 'stress-tensor', '--L', '1e-6', '--units', 'si',",
+        "              '--flip-transverse-y'],",
         "             ['gravity', '--L', '0.1', '--a', '1', '--xi0', '0.5', '--alpha', '0.3',",
         "              '--g', '0.01', '--method', 'quadrature']):",
         "    with contextlib.redirect_stdout(io.StringIO()):",
