@@ -5,16 +5,12 @@ stress tensor, with the thermodynamic check P = -dE/dL done numerically
 and the conformal tracelessness of the tensor made visible.
 """
 
-import math
-
 from casimirgrav import (
     CavityConfig,
-    SpacetimePoint,
     brown_maclay_tensor,
     central_diff,
     energy_density,
     energy_per_area,
-    feynman_propagator,
     pressure,
 )
 
@@ -45,14 +41,3 @@ print(f"  T^33 = pressure: {tensor.components[3, 3] == pressure(CavityConfig(1.0
 variant = brown_maclay_tensor(CavityConfig(1.0, 2), flip_transverse_y=True)
 print(f"  flipped-y variant diag(1,-1,1,3) has trace {variant.trace():.6e} "
       "(kept for comparison only)")
-
-print()
-print("flat-space Feynman propagator 1/(4 pi^2 (x-x')^2)")
-origin = SpacetimePoint()
-print(f"  unit spacelike interval: {feynman_propagator(SpacetimePoint(x=1.0), origin):.6e}"
-      f"   (1/4pi^2 = {1 / (4 * math.pi ** 2):.6e})")
-print(f"  timelike interval (t=2):  {feynman_propagator(SpacetimePoint(t=2.0), origin):.6e}")
-try:
-    feynman_propagator(SpacetimePoint(t=1.0, x=1.0), origin)
-except Exception as exc:
-    print(f"  on the light cone: {type(exc).__name__}: {exc}")

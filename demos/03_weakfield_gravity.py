@@ -20,7 +20,6 @@ from casimirgrav import (
     RegimeWarning,
     SpacetimePoint,
     WeakField,
-    apparatus_to_lab,
     delta_energy_closed,
     delta_energy_quadrature,
     delta_force_per_area,
@@ -36,13 +35,6 @@ from casimirgrav.units import energy_like_to_si, gravity_to_natural
 
 warnings.simplefilter("ignore", RegimeWarning)
 
-print("apparatus coordinates -> lab coordinates")
-for alpha in (0.0, math.pi / 6, math.pi / 2):
-    x, y, z = apparatus_to_lab((1.0, 0.0, 0.0), alpha)
-    print(f"  plate normal at tilt {alpha:5.3f} rad -> lab (x, y, z) = "
-          f"({x:+.3f}, {y:+.3f}, {z:+.3f})")
-
-print()
 print("gauge structure at the sample point (t, x, y, z) = (0, 1, 1, 1), g = 1")
 fld = WeakField(1.0)
 p = SpacetimePoint(0.0, 1.0, 1.0, 1.0)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import (FrozenValue, GeometryError, LightConeError, check_finite, check_integer,
-                     check_normal)
+from .errors import FrozenValue, GeometryError, check_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "energy_per_area",
     "pressure",
     "brown_maclay_tensor",
-    "feynman_propagator",
 ]
 
 METRIC_DIAGONAL = (-1.0, 1.0, 1.0, 1.0)
@@ -32,9 +30,6 @@ METRIC_DIAGONAL = (-1.0, 1.0, 1.0, 1.0)
 # L^4 stays within 1e+-300 here: no closed form (L^-4 ... L^4 times a prefactor
 # in [1e-3, 1]) overflows, underflows to zero or divides by zero.
 L_MIN, L_MAX = 1e-75, 1e75
-
-# |(x - x')^2| at most this fraction of dt^2 + |dx|^2 is on the light cone
-_LIGHT_CONE_REL_TOL = 1e-12
 
 _PI_SQUARED = math.pi ** 2
 
@@ -163,23 +158,3 @@ def brown_maclay_tensor(cfg: CavityConfig, flip_transverse_y: bool = False) -> S
     """
     import numpy as np
     return StressTensor(np.diag(_stress_diagonal(cfg.L, cfg.polarizations, flip_transverse_y)))
-
-
-def feynman_propagator(x: SpacetimePoint, x2: SpacetimePoint) -> float:
-    """Massless flat-space Feynman propagator 1/(4 pi^2 (x - x')^2).
-
-    The squared interval uses the (-,+,+,+) signature. Separations with
-    |(x - x')^2| <= 1e-12 (dt^2 + |dx|^2), coincident and null ones included,
-    raise :class:`LightConeError`, whatever the length unit; a squared interval
-    or value outside the normal double range raises :class:`DomainError`.
-    """
-    dt = x.t - x2.t
-    dx = x.x - x2.x
-    dy = x.y - x2.y
-    dz = x.z - x2.z
-    s2 = check_finite(-dt * dt + dx * dx + dy * dy + dz * dz, "squared interval")
-    if abs(s2) <= _LIGHT_CONE_REL_TOL * (dt * dt + dx * dx + dy * dy + dz * dz):
-        raise LightConeError(
-            f"propagator singular on the light cone: (x - x')^2 = {s2:.3e}"
-        )
-    return check_normal(1.0 / (4.0 * _PI_SQUARED * s2), "propagator")

@@ -12,7 +12,6 @@ __all__ = [
     "GeometryError",
     "ConvergenceError",
     "DivergentSeriesError",
-    "LightConeError",
     "RegimeWarning",
 ]
 
@@ -23,9 +22,9 @@ class CasimirError(Exception):
 
 class DomainError(CasimirError):
     """Input outside the mathematical domain of an operation, or a result
-    outside the double range. :class:`GeometryError`,
-    :class:`DivergentSeriesError` and :class:`LightConeError` are its kinds;
-    the command line exits 2 on the whole family."""
+    outside the double range. :class:`GeometryError` and
+    :class:`DivergentSeriesError` are its kinds; the command line exits 2 on
+    the whole family."""
 
 
 class GeometryError(DomainError):
@@ -38,10 +37,6 @@ class ConvergenceError(CasimirError):
 
 class DivergentSeriesError(DomainError):
     """The requested series does not converge."""
-
-
-class LightConeError(DomainError):
-    """Propagator evaluated too close to the light cone."""
 
 
 class RegimeWarning(UserWarning):

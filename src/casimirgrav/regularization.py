@@ -1,9 +1,9 @@
 """Three independent routes to the renormalized Casimir quantities.
 
 The divergent mode sum over cavity modes is made finite by (a) the image
-sum over subtracted propagator reflections, a partial sum of 1/n^4 with a
-rigorous tail bound, (b) Abel-Plana regularization, where the divergent
-pieces are dropped and the finite branch-cut integral
+sum, a partial sum of 1/n^4 with a rigorous tail bound, (b) Abel-Plana
+regularization, where the divergent pieces are dropped and the finite
+branch-cut integral
 
     -2 sin(p pi / 2) * int_0^inf t^p / (e^{2 pi t} - 1) dt
 

@@ -17,14 +17,13 @@ import sys
 
 from .errors import check_normal
 
-__all__ = ["HBAR", "C_LIGHT", "HBAR_C", "energy_like_to_si", "gravity_to_natural"]
+__all__ = ["HBAR", "C_LIGHT", "energy_like_to_si", "gravity_to_natural"]
 
 # C_LIGHT is exact by definition; HBAR is not: this 10-digit literal is 6.1e-10
 # relative below h/(2 pi) = 1.0545718176461564e-34 J s with h = 6.62607015e-34 exact.
 # bench/workloads.py pins the same literal, so the two change together.
 HBAR = 1.054571817e-34  # J s
 C_LIGHT = 2.99792458e8  # m / s
-HBAR_C = HBAR * C_LIGHT  # J m
 
 # 2^_RESCALE lifts every natural value whose SI value is normal clear of
 # underflow in value * hbar

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PlateApparatus",
     "WeakField",
-    "apparatus_to_lab",
     "h_isotropic",
     "h_fermi",
     "gauge_field",
@@ -111,18 +110,6 @@ def _warn_linearized_regime(app: PlateApparatus, field: WeakField) -> None:
             RegimeWarning,
             stacklevel=3,
         )
-
-
-def apparatus_to_lab(p: tuple[float, float, float], alpha: float) -> tuple[float, float, float]:
-    """Rotate apparatus coordinates (xi, eta, chi) into lab (x, y, z).
-
-    z = xi cos(alpha) + eta sin(alpha), y = eta cos(alpha) - xi sin(alpha),
-    x = chi.
-    """
-    xi, eta, chi = p
-    c = math.cos(alpha)
-    s = math.sin(alpha)
-    return (chi, eta * c - xi * s, xi * c + eta * s)
 
 
 def h_isotropic(field: WeakField, p: SpacetimePoint) -> np.ndarray:

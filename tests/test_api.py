@@ -20,7 +20,7 @@ HELPERS = [
 
 def test_all_is_every_public_top_level_name():
     names = casimirgrav.__all__
-    assert len(names) == len(set(names)) == 41
+    assert len(names) == len(set(names)) == 38
     public = {name for name in dir(casimirgrav)
               if not name.startswith("_") and not inspect.ismodule(getattr(casimirgrav, name))}
     assert set(names) == public

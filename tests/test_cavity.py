@@ -13,10 +13,9 @@ from casimirgrav.cavity import (
     brown_maclay_tensor,
     energy_density,
     energy_per_area,
-    feynman_propagator,
     pressure,
 )
-from casimirgrav.errors import DomainError, GeometryError, LightConeError
+from casimirgrav.errors import DomainError, GeometryError
 from casimirgrav.numerics import central_diff
 from casimirgrav.regularization import energy_density_image_sum
 
@@ -37,9 +36,6 @@ def test_closed_forms_are_the_literal_formulas_bit_for_bit():
             cfg = CavityConfig(L, pol)
             assert energy_per_area(cfg).hex() == per_area.hex(), (L, pol)
             assert pressure(cfg).hex() == (3.0 * (per_area / L)).hex(), (L, pol)
-    for r in [10.0 ** (k / 4.0) for k in range(-600, 601)]:
-        got = feynman_propagator(SpacetimePoint(), SpacetimePoint(x=r))
-        assert got.hex() == (1.0 / (4.0 * math.pi ** 2 * (r * r))).hex(), r
 
 
 def test_energy_density_matches_image_sum_within_tail_bound():
@@ -179,66 +175,6 @@ def test_power_law_slopes():
         L, [energy_per_area(CavityConfig(l, 2)) for l in L]
     ) == pytest.approx(-3.0, abs=1e-9)
     assert _loglog_slope(L, [energy_density(l) for l in L]) == pytest.approx(-4.0, abs=1e-9)
-
-
-def test_propagator_unit_spacelike_interval():
-    value = feynman_propagator(SpacetimePoint(0, 1, 0, 0), SpacetimePoint(0, 0, 0, 0))
-    assert value == pytest.approx(1.0 / (4.0 * math.pi ** 2), rel=1e-15)
-
-
-def test_propagator_symmetric_in_arguments():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = SpacetimePoint(*rng.uniform(-3.0, 3.0, size=4))
-        b = SpacetimePoint(*rng.uniform(-3.0, 3.0, size=4))
-        try:
-            left = feynman_propagator(a, b)
-        except LightConeError:
-            continue
-        assert left == feynman_propagator(b, a)
-
-
-def test_propagator_light_cone_error():
-    origin = SpacetimePoint(0, 0, 0, 0)
-    for x in (SpacetimePoint(1, 1, 0, 0), origin):  # null and coincident
-        with pytest.raises(LightConeError):
-            feynman_propagator(x, origin)
-    # timelike or spacelike by less than 1e-12 of dt^2 + |dx|^2
-    for x in (SpacetimePoint(1.0, 1.0 - 1e-14, 0, 0),
-              SpacetimePoint(1e3 * (1 + 1e-15), 1e3, 0, 0)):
-        with pytest.raises(LightConeError):
-            feynman_propagator(x, origin)
-
-
-def test_propagator_at_micron_equal_time_separation():
-    value = feynman_propagator(SpacetimePoint(x=1e-7), SpacetimePoint())
-    assert value == pytest.approx(1.0 / (4.0 * math.pi ** 2 * 1e-14), rel=1e-15)
-
-
-def test_propagator_is_independent_of_the_length_unit():
-    rng = np.random.default_rng(11)
-    pairs = [rng.uniform(-3.0, 3.0, size=(2, 4)) for _ in range(20)]
-    pairs.append(np.array([[1.0, 1.0 - 1e-14, 0, 0], [0, 0, 0, 0]]))
-    for a, b in pairs:
-        outcomes = []
-        for k in range(-8, 9):
-            scale = 10.0 ** k
-            try:
-                value = feynman_propagator(SpacetimePoint(*(a * scale)), SpacetimePoint(*(b * scale)))
-            except LightConeError:
-                outcomes.append(None)
-            else:
-                outcomes.append(value * scale ** 2)
-        if outcomes[0] is None:
-            assert outcomes == [None] * 17
-        else:
-            assert outcomes == pytest.approx([outcomes[8]] * 17, rel=1e-12)
-
-
-def test_propagator_past_double_range_raises():
-    with pytest.raises(DomainError) as info:
-        feynman_propagator(SpacetimePoint(x=1e200), SpacetimePoint())
-    assert not isinstance(info.value, LightConeError)
 
 
 @pytest.mark.parametrize("coord", ["t", "x", "y", "z"])

@@ -1,6 +1,6 @@
 """Smoke test of tools/same_outputs.py: two recordings that differ by one ulp
-in one SeriesResult, or by one byte in one figure file, show that difference
-and nothing else."""
+in one SeriesResult, by one byte in one figure file, or by one public name of
+the package, ``units`` or ``figures``, show that difference and nothing else."""
 
 import json
 import math
@@ -25,6 +25,7 @@ def recording(tmp_path, monkeypatch):
     (out / same_outputs.FILES).mkdir(parents=True)
     monkeypatch.chdir(out)
     records = {
+        **same_outputs.public_names(),
         "tail": same_outputs.attempt(tail_bounded_power_sum, 4.0, -1.0, 9742),
         "cli figure": same_outputs.run_cli(["figure", "--id", "2", "--points", "50",
                                             "--out", FIGURE]),
@@ -62,3 +63,15 @@ def test_one_byte_in_one_figure_file_is_reported(recording):
     assert found[0].startswith(
         f"{FIGURE}: first difference at byte {at}, size {len(data)} -> {len(data)}, line ")
     assert "(relative " in found[0] and "relative size not numeric" not in found[0]
+
+
+@pytest.mark.parametrize("module", ["casimirgrav", "casimirgrav.units", "casimirgrav.figures"])
+def test_one_missing_public_name_is_reported(recording, module):
+    change = shutil.copytree(recording, recording.parent / "change")
+    records = json.loads((change / same_outputs.RECORDS).read_text(encoding="utf-8"))
+    key = f"{module} public names"
+    names = records[key].splitlines()
+    records[key] = "\n".join(names[1:])
+    same_outputs.save(change, records)
+    assert same_outputs.differences(recording, change) == [
+        f"{key}: line 1: {names[0]!r} -> {names[1]!r} (relative size not numeric)"]

@@ -11,7 +11,6 @@ from casimirgrav.numerics import Interval, QuadratureSpec, integrate_nd
 from casimirgrav.weakfield import (
     PlateApparatus,
     WeakField,
-    apparatus_to_lab,
     delta_energy_closed,
     delta_energy_quadrature,
     delta_force_per_area,
@@ -28,25 +27,6 @@ def _quiet_apparatus(*args, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RegimeWarning)
         return PlateApparatus(*args, **kwargs)
-
-
-def test_apparatus_to_lab_reference_rotations():
-    assert apparatus_to_lab((1.0, 2.0, 3.0), 0.0) == (3.0, 2.0, 1.0)
-    x, y, z = apparatus_to_lab((1.0, 0.0, 0.0), math.pi / 2)
-    assert x == 0.0
-    assert y == pytest.approx(-1.0, abs=1e-15)
-    assert z == pytest.approx(0.0, abs=1e-15)
-
-
-def test_apparatus_to_lab_preserves_norm_and_inverts():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        p = tuple(rng.uniform(-5.0, 5.0, size=3))
-        alpha = float(rng.uniform(0.0, 2.0 * math.pi))
-        lab = apparatus_to_lab(p, alpha)
-        assert sum(v * v for v in lab) == pytest.approx(sum(v * v for v in p), rel=1e-14)
-        back = apparatus_to_lab((lab[2], lab[1], lab[0]), -alpha)
-        np.testing.assert_allclose(back, (p[2], p[1], p[0]), rtol=1e-13, atol=1e-13)
 
 
 def test_h_isotropic_table():

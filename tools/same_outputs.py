@@ -5,7 +5,9 @@
 
 Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
 
-- the package's public top-level names, so that any drift in the API shows;
+- the package's public top-level names, and the ``__all__`` of ``units`` and
+  ``figures``, which the top level does not re-export, so that any drift in
+  the API shows;
 - the CLI, in-process through ``cli.main``: every subcommand in natural and
   SI units, ``--help``, argument errors, the documented exit-2 cases
   (out-of-domain inputs, results past the double range, SI and natural
@@ -329,14 +331,24 @@ def save(out: Path, records: dict) -> None:
                                encoding="utf-8")
 
 
+def public_names() -> dict[str, str]:
+    """The public names of the package's top level, ``units`` and ``figures``:
+    one record each, one sorted name a line."""
+    import casimirgrav
+
+    # read before importing units and figures, which would add them to dir()
+    names = {"casimirgrav": [name for name in dir(casimirgrav) if not name.startswith("_")]}
+    from casimirgrav import figures, units
+
+    names.update((module.__name__, module.__all__) for module in (units, figures))
+    return {f"{module} public names": "\n".join(sorted(n)) for module, n in names.items()}
+
+
 def record(out: Path) -> None:
     """Run the fixed list with the ``casimirgrav`` on ``sys.path``, writing
     ``records.json`` and the figure files into ``out``, the working directory."""
-    import casimirgrav
-
     (out / FILES).mkdir(exist_ok=True)
-    names = sorted(name for name in dir(casimirgrav) if not name.startswith("_"))
-    records = {"casimirgrav public names": "\n".join(names)}
+    records = public_names()
     records.update(("cli " + " ".join(argv), run_cli(argv)) for argv in cli_runs())
     records.update(library_records())
     save(out, records)
