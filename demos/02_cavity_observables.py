@@ -37,7 +37,3 @@ for row in tensor.components:
     print("   " + "  ".join(f"{v:>14.6e}" for v in row))
 print(f"  trace with diag(-1,1,1,1): {tensor.trace():g}  (conformal field: exactly zero)")
 print(f"  T^33 = pressure: {tensor.components[3, 3] == pressure(CavityConfig(1.0, 2))}")
-
-variant = brown_maclay_tensor(CavityConfig(1.0, 2), flip_transverse_y=True)
-print(f"  flipped-y variant diag(1,-1,1,3) has trace {variant.trace():.6e} "
-      "(kept for comparison only)")

@@ -114,10 +114,9 @@ def _pressure(L: float, polarizations: int) -> float:
     return 3.0 * (_energy_per_area(L, polarizations) / L)
 
 
-def _stress_diagonal(L: float, polarizations: int,
-                     flip_transverse_y: bool) -> tuple[float, float, float, float]:
+def _stress_diagonal(L: float, polarizations: int) -> tuple[float, float, float, float]:
     e_over_l = _energy_per_area(L, polarizations) / L
-    return (e_over_l, -e_over_l, e_over_l if flip_transverse_y else -e_over_l, 3.0 * e_over_l)
+    return (e_over_l, -e_over_l, -e_over_l, 3.0 * e_over_l)
 
 
 def _trace(diagonal) -> float:
@@ -147,14 +146,13 @@ def pressure(cfg: CavityConfig) -> float:
     return _pressure(cfg.L, cfg.polarizations)
 
 
-def brown_maclay_tensor(cfg: CavityConfig, flip_transverse_y: bool = False) -> StressTensor:
+def brown_maclay_tensor(cfg: CavityConfig) -> StressTensor:
     """Constant diagonal vacuum stress tensor (E/A / L) * diag(1, -1, -1, 3).
 
-    The default diagonal is the traceless conformally-invariant one with
-    T^33 equal to the pressure and both transverse directions alike.
-    ``flip_transverse_y=True`` selects the diag(1, -1, 1, 3) variant that
-    circulates in parts of the literature; it breaks tracelessness and
-    transverse symmetry and is kept only for side-by-side comparison.
+    The traceless, conformally invariant diagonal, with T^33 the pressure and
+    both transverse directions alike. Its contraction 1/2 h^I_{mu nu} T^{mu nu}
+    with the isotropic metric is -g z E/(A L), which integrates over the
+    cavity to Delta E = -A g E_C z0.
     """
     import numpy as np
-    return StressTensor(np.diag(_stress_diagonal(cfg.L, cfg.polarizations, flip_transverse_y)))
+    return StressTensor(np.diag(_stress_diagonal(cfg.L, cfg.polarizations)))

@@ -95,9 +95,8 @@ def _cmd_compute(args: argparse.Namespace) -> list[str]:
         return [f"energy per area = {_fmt(out(energy_per_area(cfg)))}{unit}"]
     if args.quantity == "pressure":
         return [f"pressure = {_fmt(out(pressure(cfg)))}{unit}"]
-    # the float kernels behind brown_maclay_tensor, so this command loads no numpy;
-    # a store_true flag is in args only when given
-    diagonal = _stress_diagonal(cfg.L, cfg.polarizations, "flip_transverse_y" in args)
+    # the float kernels behind brown_maclay_tensor, so this command loads no numpy
+    diagonal = _stress_diagonal(cfg.L, cfg.polarizations)
     return [f"vacuum stress tensor T^(mu nu){',' + unit if unit else ''}:",
             *["  " + "  ".join(f"{out(d if mu == nu else 0.0):>22.15g}" for nu in range(4))
               for mu, d in enumerate(diagonal)],
@@ -174,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["energy-density", "energy-per-area", "pressure", "stress-tensor"])
     p.add_argument("--L", type=float, required=True, help="plate separation")
     p.add_argument("--polarizations", type=int, choices=[1, 2])
-    p.add_argument("--flip-transverse-y", action="store_true",
-                   help="stress-tensor only: the non-traceless diag(1,-1,1,3) variant")
     _add_units_flag(p)
     p.set_defaults(func=_cmd_compute)
 

@@ -120,12 +120,14 @@ def abel_plana_regularized_power_sum(
         return SeriesResult(0.0, 0.0, 1)
     sign = 1.0 if p % 4 == 1 else -1.0
     two_pi, expm1 = 2.0 * math.pi, math.expm1
+    scale = max(1.0, p / two_pi)  # integrated in t / scale, so the peak t ~ p / (2 pi) is ~1
 
-    def branch_cut(t: float) -> float:
+    def branch_cut(tau: float) -> float:
+        t = scale * tau
         w = two_pi * t
         if w > 700.0:  # e^w overflows a double; the term is < 1e-290 here
             return 0.0
-        return t ** p / expm1(w)
+        return t ** p / expm1(w) * scale  # divided first: t^p alone nears the largest double
 
     integral = integrate_1d(branch_cut, Interval(0.0, math.inf), quad)
     return integral.scaled(-2.0 * sign)

@@ -2,6 +2,7 @@
 regulator, the 3-axis ``integrate_nd`` of a linear integrand and
 ``riemann_zeta``'s documented relative bound, checked against 50-digit
 mpmath on inputs that Hypothesis steers towards the largest error / bound.
+Abel-Plana's exponent takes only 75 values, so it is also checked on a grid.
 
 The searches are derandomized and keep no example database, so every run
 draws the same inputs. An input that the library refuses with a package
@@ -13,10 +14,10 @@ import sys
 import warnings
 
 import mpmath
-import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
+from casimirgrav import regularization
 from casimirgrav.errors import CasimirError, RegimeWarning
 from casimirgrav.numerics import Interval, QuadratureSpec, integrate_nd
 from casimirgrav.regularization import abel_plana_regularized_power_sum, riemann_zeta
@@ -106,22 +107,30 @@ def _abel_plana_truth(p):
     return -2 * sign * mpmath.factorial(p) * mpmath.zeta(p + 1) / (2 * mpmath.pi) ** (p + 1)
 
 
-# A grid over the same range finds one miss that this search does not reach:
-# p = 141 at tolerances from about 6.3e-4 to 1e-3, 14 times its bound, where a
-# panel's single-box and half-box estimates agree by chance (ROADMAP item 3).
 @_search(300)
-@given(st.integers(0, 74).map(lambda k: 2 * k + 1), _log_uniform(1e-12, 1e-3))
+@given(st.integers(0, 74).map(lambda k: 2 * k + 1), _log_uniform(1e-12, 1e-2))
 def test_abel_plana_bound_searched(p, tolerance):
     res = abel_plana_regularized_power_sum(p, QuadratureSpec(tolerance))
     with mpmath.workdps(50):
         _holds(res.value, res.error_bound, _abel_plana_truth(p))
 
 
-# The known miss above, pinned: -1.7392e130 with bound 7.15e126 against the truth
-# -1.7291e130, 14.2 times its bound. Strict, so a fix makes the run fail until the
-# marker comes off.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="Abel-Plana bound misses at p = 141, tolerance 1e-3 (ROADMAP item 3)")
+# Every odd exponent at 46 log-spaced tolerances over [1e-12, 1e-2], 3 450 runs,
+# which reaches misses that the search above does not (the integrand's peak moves
+# out to t ~ p / (2 pi) ~ 24 at p = 149). Worst error / bound 0.72.
+def test_abel_plana_bound_holds_on_the_exponent_tolerance_grid():
+    tolerances = [10.0 ** (-12 + 10 * k / 45) for k in range(46)]
+    with mpmath.workdps(50):
+        for p in range(1, regularization.MAX_ABEL_PLANA_EXPONENT, 2):
+            truth = _abel_plana_truth(p)
+            for tolerance in tolerances:
+                res = abel_plana_regularized_power_sum(p, QuadratureSpec(tolerance))
+                ratio = float(abs(mpmath.mpf(res.value) - truth) / res.error_bound)
+                assert ratio <= 1.0, (p, tolerance, ratio)
+
+
+# Between two of the grid's tolerances; an integral taken at unit scale instead of
+# the peak's missed here by 14.2 times its bound.
 def test_abel_plana_bound_holds_at_p141_tolerance_1e3():
     res = abel_plana_regularized_power_sum(141, QuadratureSpec(1e-3))
     with mpmath.workdps(50):

@@ -131,12 +131,14 @@ def test_abel_plana_matches_gamma_zeta_closed_form(p):
 
 def _literal_abel_plana(p, quad):
     """abel_plana_regularized_power_sum for odd p with the branch-cut
-    integrand written out in full at every node."""
+    integrand written out in full at every node, in tau = t / s with
+    s = max(1, p / (2 pi))."""
     sign = 1.0 if p % 4 == 1 else -1.0
+    s = max(1.0, p / (2.0 * math.pi))
 
-    def branch_cut(t):
-        w = 2.0 * math.pi * t
-        return 0.0 if w > 700.0 else t ** p / math.expm1(w)
+    def branch_cut(tau):
+        w = 2.0 * math.pi * (s * tau)
+        return 0.0 if w > 700.0 else (s * tau) ** p / math.expm1(w) * s
 
     return integrate_1d(branch_cut, Interval(0.0, math.inf), quad).scaled(-2.0 * sign)
 
@@ -153,6 +155,28 @@ def test_abel_plana_is_the_literal_integrand_bit_for_bit():
         for L in (1e-70, 1e-8, 1.0, 3.7, 1e8, 1e70):
             want = _literal_abel_plana(3, quad).scaled(-(math.pi ** 2) / (12.0 * L ** 3))
             assert record(energy_per_area_abel_plana(L, quad)) == record(want), (L, tol)
+
+
+def test_abel_plana_below_two_pi_is_the_unscaled_integrand_bit_for_bit():
+    # s = 1 for p < 2 pi, so the p = 3 Casimir energy and every CLI value built
+    # on it are the integral of t^p / (e^{2 pi t} - 1) in t itself
+    def unscaled(p, quad):
+        sign = 1.0 if p % 4 == 1 else -1.0
+
+        def branch_cut(t):
+            w = 2.0 * math.pi * t
+            return 0.0 if w > 700.0 else t ** p / math.expm1(w)
+
+        return integrate_1d(branch_cut, Interval(0.0, math.inf), quad).scaled(-2.0 * sign)
+
+    for tol in (1e-12, 1e-9, 1e-6, 1e-3):
+        quad = QuadratureSpec(tol)
+        for p in (1, 3, 5):
+            got, want = abel_plana_regularized_power_sum(p, quad), unscaled(p, quad)
+            assert got.value.hex() == want.value.hex(), (p, tol)
+            assert got.error_bound.hex() == want.error_bound.hex(), (p, tol)
+            assert got.terms_used == want.terms_used, (p, tol)
+    assert abel_plana_regularized_power_sum(3).terms_used == 96
 
 
 def test_abel_plana_rejects_nonpositive_exponent():

@@ -5,7 +5,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from casimirgrav.cavity import CavityConfig, SpacetimePoint, energy_per_area
+from casimirgrav.cavity import (
+    CavityConfig,
+    SpacetimePoint,
+    brown_maclay_tensor,
+    energy_per_area,
+)
 from casimirgrav.errors import DomainError, GeometryError, RegimeWarning
 from casimirgrav.numerics import Interval, QuadratureSpec, integrate_nd
 from casimirgrav.weakfield import (
@@ -89,6 +94,31 @@ def test_gauge_identity_at_random_points(g):
         target = h_fermi(fld, p) - h_isotropic(fld, p)
         sym = _fd_symmetrized_gradient(zeta, p, 1e-5)
         np.testing.assert_allclose(sym, target, atol=5e-11)
+
+
+def test_tensor_and_metric_give_the_printed_shift():
+    # 1/2 h^I_{mu nu} T^{mu nu} = -g z E_C / L, whose integral over the cavity at
+    # alpha = 0 is -A g E_C z0; only the h_00 part survives in the Fermi gauge
+    u = 2.0 ** -53
+    rng = np.random.default_rng(26)
+    for _ in range(20):
+        L, g = float(10.0 ** rng.uniform(-3, 3)), float(10.0 ** rng.uniform(-6, 0))
+        z, a = float(rng.uniform(-10.0, 10.0)), float(10.0 ** rng.uniform(0, 2)) * L
+        cfg = CavityConfig(L, int(rng.integers(1, 3)))
+        t = brown_maclay_tensor(cfg).components
+        fld = WeakField(g)
+        want = -g * z * energy_per_area(cfg) / L
+        isotropic = 0.5 * float((h_isotropic(fld, SpacetimePoint(z=z)) * t).sum())
+        fermi = 0.5 * float((h_fermi(fld, SpacetimePoint(z=z)) * t).sum())
+        assert abs(isotropic - want) <= 4 * u * abs(want), (L, g, z)
+        assert abs(fermi - 0.5 * want) <= 4 * u * abs(want), (L, g, z)
+
+        # constant across the plates, so the volume integral is the area times an
+        # integral over the height, written as z plus an offset whose ends do not round
+        k = isotropic / z
+        res = integrate_nd(lambda s: k * (z + s), [Interval(-0.5 * L, 0.5 * L)]).scaled(a * a)
+        closed = delta_energy_closed(_quiet_apparatus(a, L, z, 0.0, cfg.polarizations), fld)
+        assert abs(res.value - closed) <= res.error_bound + 8 * u * abs(closed), (L, g, z)
 
 
 def test_delta_energy_reference_cell():
