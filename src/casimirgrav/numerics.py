@@ -14,9 +14,12 @@ which |sum of halves - whole| does not see, and an absolute term for
 gradual underflow, which no relative term sees once the integral is
 subnormal.
 
-All functions are pure; nothing here keeps mutable state, so every entry
-point is safe to call concurrently (integrands supplied by callers must be
-reentrant themselves).
+All functions are pure. The only state is two bounded caches of constants:
+the tensor weights for each of the 1-3 axis counts, and the nodes of the
+most recently used axes, keyed on their ends, which a call computes to the
+same doubles whether or not they are cached. So every entry point is safe to
+call concurrently (integrands supplied by callers must be reentrant
+themselves).
 """
 
 from __future__ import annotations
@@ -105,9 +108,10 @@ class SeriesResult(FrozenValue):
     - quadrature (:func:`integrate_1d`, :func:`integrate_nd`, Abel-Plana,
       the quadrature energy shift): the sum over panels of
       |half-box refinement - single-box estimate|, plus 64 u (u = 2^-53)
-      times the quadrature of |f| for the rounding of the sums, plus
-      2^-1074 per evaluation, times the largest starting box's
-      half-volume plus 1/16, for gradual underflow; integrand evaluations.
+      times the quadrature of |f| for the rounding of the sums, plus, for
+      gradual underflow, 2^-1074 per evaluation times the largest starting
+      box's half-volume and 2^-1074 per evaluated box (16^-d per evaluation
+      on d axes); integrand evaluations.
     - Abel-Plana at even exponents: 0, the value being exactly zero; 1.
     - the zeta closed form in ``compare_schemes``: 0; the 50 terms of the
       Euler-Maclaurin sum behind ``riemann_zeta``.
@@ -140,32 +144,58 @@ class SeriesResult(FrozenValue):
                             self.terms_used + other.terms_used)
 
 
+# the 16 nodes on [-1, 1] in ascending order, and their weights in the same order
+_NODES = tuple(-x for x in reversed(_GL16_NODES)) + _GL16_NODES
+_WEIGHTS = tuple(reversed(_GL16_WEIGHTS)) + _GL16_WEIGHTS
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre(dim: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The 16 Gauss-Legendre nodes on [-1, 1] in ascending order and the
     ``dim``-fold tensor product of their weights, in :func:`itertools.product`
     order."""
-    nodes = tuple(-x for x in reversed(_GL16_NODES)) + _GL16_NODES
-    weights = tuple(reversed(_GL16_WEIGHTS)) + _GL16_WEIGHTS
-    return nodes, tuple(math.prod(ws) for ws in product(weights, repeat=dim))
+    return _NODES, tuple(math.prod(ws) for ws in product(_WEIGHTS, repeat=dim))
+
+
+@lru_cache(maxsize=128)
+def _axis_nodes(lo: float, hi: float) -> tuple[tuple[float, ...], float]:
+    """The 16 nodes on the axis ``[lo, hi]`` and its half-width.
+
+    Cached on ``(lo, hi)``: an adaptive run meets each axis of a box again in
+    its half-boxes' siblings, and callers integrate over the same intervals
+    call after call. Ends equal by ``==`` (-0.0 and 0.0, an int and its float)
+    give the same doubles here, so a cached entry is what a fresh call returns;
+    only int ends whose sum leaves the double range differ, raising
+    OverflowError where their float twins give non-finite nodes, which
+    :func:`_box_sums` refuses.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return tuple([mid + half * x for x in _NODES]), half
 
 
 def _box_sums(f, box, nodes, weights) -> tuple[float, float, float]:
     """Tensor Gauss-Legendre estimate of (integral, integral of |f|) on
     ``box``, one ``(lo, hi)`` per axis, and the box's half-volume, which
-    scales both."""
-    axes = []
-    scale = 1.0
-    for lo, hi in box:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        axes.append([mid + half * x for x in nodes])
-        scale *= half
+    scales both. ``nodes(lo, hi)`` gives an axis's nodes and half-width."""
+    if len(box) == 1:
+        xs, scale = nodes(*box[0])
+        ys = map(f, xs)
+    else:
+        axes = []
+        scale = 1.0
+        for lo, hi in box:
+            xs, half = nodes(lo, hi)
+            axes.append(xs)
+            scale *= half
+        ys = starmap(f, product(*axes))
     total = 0.0
     gross = 0.0
-    for w, y in zip(weights, starmap(f, product(*axes))):
-        total += w * y
-        gross += w * abs(y)
+    # every weight is positive, so |w y| is w |y| to the bit
+    for w, y in zip(weights, ys):
+        y *= w
+        total += y
+        gross += abs(y)
     # a NaN or infinite value anywhere, or a box volume or integral past the
     # double range, leaves the scaled sum of |f| non-finite
     gross *= scale
@@ -189,7 +219,7 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
     """Adaptive tensor Gauss-Legendre quadrature of ``f`` over ``boxes``, all
     with the same number of axes; see the module docstring."""
     dim = len(boxes[0])
-    nodes, weights = _gauss_legendre(dim)
+    nodes, weights = _axis_nodes, _gauss_legendre(dim)[1]
     # every later box lies inside one of these, with a smaller scaling
     half_volume = 0.0
     panels = []

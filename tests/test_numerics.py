@@ -245,18 +245,103 @@ def test_abel_plana_evaluations():
     assert abel_plana_regularized_power_sum(3).terms_used == 2 * 3 * 16
 
 
-@pytest.mark.parametrize("f, iv, exact", [
-    (lambda x: 1e-310 * (x + 0.3), Interval(0.0, 1.0),
+@pytest.mark.parametrize("f, box, exact", [
+    (lambda x: 1e-310 * (x + 0.3), [Interval(0.0, 1.0)],
      lambda: mpmath.mpf(1e-310) * (mpmath.mpf(0.5) + mpmath.mpf(0.3))),
-    (lambda x: 3e-320 * x * x, Interval(0.1, 1.0),
+    (lambda x: 3e-320 * x * x, [Interval(0.1, 1.0)],
      lambda: mpmath.mpf(3e-320) * (1 - mpmath.mpf(0.1) ** 3) / 3),
-], ids=["1e-310 (x + 0.3)", "3e-320 x^2"])
-def test_subnormal_integral_bound_holds(f, iv, exact):
+    # 2 and 3 axes: the per-box part of the underflow term is 16^-d per evaluation
+    (lambda x, y: 1e-310 * (x + 2.0 * y + 0.3), [Interval(0.0, 1.0), Interval(0.0, 0.5)],
+     lambda: mpmath.mpf(1e-310) * (mpmath.mpf(0.25) + mpmath.mpf(0.25)
+                                   + mpmath.mpf(0.3) * mpmath.mpf(0.5))),
+    (lambda x, y, z: 1e-310 * x * y * z, [Interval(0.1, 1.0)] * 3,
+     lambda: mpmath.mpf(1e-310) * ((1 - mpmath.mpf(0.1) ** 2) / 2) ** 3),
+], ids=["1e-310 (x + 0.3)", "3e-320 x^2", "1e-310 (x + 2 y + 0.3)", "1e-310 x y z"])
+def test_subnormal_integral_bound_holds(f, box, exact):
     # 64 u times a subnormal quadrature of |f| underflows to 0; the
     # gradual-underflow term keeps the bound positive and enclosing
-    res = integrate_nd(f, [iv])
+    res = integrate_nd(f, box)
     with mpmath.workdps(50):
         assert 0.0 < abs(mpmath.mpf(res.value) - exact()) <= res.error_bound
+
+
+def _literal_box_sums(f, box):
+    """``_box_sums`` written out: every node from its axis's ends, and the sums
+    of w f and w |f| over :func:`itertools.product`."""
+    nodes, weights = numerics._gauss_legendre(len(box))
+    axes = []
+    scale = 1.0
+    for lo, hi in box:
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        axes.append([mid + half * x for x in nodes])
+        scale *= half
+    total = 0.0
+    gross = 0.0
+    for w, xs in zip(weights, product(*axes)):
+        y = f(*xs)
+        total += w * y
+        gross += w * abs(y)
+    return scale * total, gross * scale, scale
+
+
+def _box_sums(f, box):
+    return numerics._box_sums(f, box, numerics._axis_nodes,
+                              numerics._gauss_legendre(len(box))[1])
+
+
+def _hex(sums):
+    return [x.hex() for x in sums]
+
+
+_KERNEL_INTEGRANDS = {
+    "-0.0": lambda *xs: -0.0,
+    "c prod(x) - d": lambda *xs: 3.7 * math.prod(xs) - 11.0,
+    "1e-310 (sum(x) + 0.3)": lambda *xs: 1e-310 * (sum(xs) + 0.3),
+    "cos(3 sum(x)) / 7": lambda *xs: math.cos(3.0 * sum(xs)) / 7.0,
+}
+
+
+@pytest.mark.parametrize("name", _KERNEL_INTEGRANDS)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_box_sums_is_the_literal_loop_bit_for_bit(name, dim):
+    f = _KERNEL_INTEGRANDS[name]
+    rng = random.Random(f"box-sums:{name}:{dim}")
+    for _ in range(4):
+        box = []
+        for _ in range(dim):
+            lo = rng.uniform(-5.0, 5.0)
+            box.append((lo, lo + 10.0 ** rng.uniform(-3.0, 1.0)))
+        box = tuple(box)
+        want = _hex(_literal_box_sums(f, box))
+        numerics._axis_nodes.cache_clear()
+        assert _hex(_box_sums(f, box)) == want  # every axis computed afresh
+        assert _hex(_box_sums(f, box)) == want  # every axis from the cache
+
+
+@pytest.mark.parametrize("box, twin", [
+    (((-0.0, 0.5),), ((0.0, 0.5),)),
+    (((-1.0, -0.0),), ((-1.0, 0.0),)),
+    (((0, 3),), ((0.0, 3.0),)),
+    (((-2, 7), (-0.0, 1)), ((-2.0, 7.0), (0.0, 1.0))),
+])
+def test_axis_ends_equal_by_eq_give_the_same_bits_cold_or_warm(box, twin):
+    f = _KERNEL_INTEGRANDS["cos(3 sum(x)) / 7"]
+    want = _hex(_literal_box_sums(f, box))
+    assert _hex(_literal_box_sums(f, twin)) == want
+    for first, second in ((box, twin), (twin, box)):
+        numerics._axis_nodes.cache_clear()
+        assert _hex(_box_sums(f, first)) == want  # cold
+        assert _hex(_box_sums(f, second)) == want  # warm, from the twin's entry
+
+
+def test_axis_node_cache_is_bounded():
+    size = numerics._axis_nodes.cache_info().maxsize
+    assert size is not None
+    numerics._axis_nodes.cache_clear()
+    for k in range(size + 10):
+        integrate_nd(lambda x: x, [Interval(k, k + 1.0)])
+    assert numerics._axis_nodes.cache_info().currsize == size
 
 
 def test_integrand_zero_at_every_node_has_bound_zero():

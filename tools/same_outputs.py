@@ -32,10 +32,13 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
   alpha = 1e-310 (a subnormal transverse integral) and at xi0 = 0 with
   alpha = +-pi/2 (the transverse integral carries the whole result),
   ``integrate_1d`` / ``integrate_nd`` on symmetric integrands that split,
-  one of them through mirror panels that tie on error, and ``integrate_nd``
-  on two integrals below the normal range (1e-310 (x + 0.3) on [0, 1],
-  3e-320 x^2 on [0.1, 1]), whose bound is the gradual-underflow term; an
-  input the producer refuses records the error's type and message.
+  one of them through mirror panels that tie on error, ``integrate_nd`` on
+  the benchmark's volume integrand k (xi cos(alpha) + eta sin(alpha)) over
+  [xi0 -+ L/2] x [-a/2, a/2]^2 at seeded apparatus, and on four integrals
+  below the normal range (1e-310 (x + 0.3) on [0, 1], 3e-320 x^2 on
+  [0.1, 1], 1e-310 (x + 2 y + 0.3) on [0, 1] x [0, 1/2], 1e-310 x y z on
+  [0.1, 1]^3), whose bound is the gradual-underflow term; an input the
+  producer refuses records the error's type and message.
 
 Every difference is printed with its relative size, and the exit status is
 1 on any difference, 0 otherwise. Both trees take about 8 s together on a
@@ -313,6 +316,24 @@ def library_records() -> dict:
         integrate_nd, lambda x: 1e-310 * (x + 0.3), [Interval(0.0, 1.0)])
     records["integrate_nd(3e-320 x^2, [0.1, 1])"] = attempt(
         integrate_nd, lambda x: 3e-320 * x * x, [Interval(0.1, 1.0)])
+    records["integrate_nd(1e-310 (x + 2 y + 0.3), [0, 1] x [0, 1/2])"] = attempt(
+        integrate_nd, lambda x, y: 1e-310 * (x + 2.0 * y + 0.3),
+        [Interval(0.0, 1.0), Interval(0.0, 0.5)])
+    records["integrate_nd(1e-310 x y z, [0.1, 1]^3)"] = attempt(
+        integrate_nd, lambda x, y, z: 1e-310 * x * y * z, [Interval(0.1, 1.0)] * 3)
+    # the benchmark's volume integrand on off-centre boxes, each axis new to the
+    # kernel's node cache; k = -g E_C / L, the contraction at z = 1
+    volume = random.Random(20261020)
+    for _ in range(6):
+        a, L = volume.uniform(0.5, 5.0), volume.uniform(0.01, 0.2)
+        xi0, alpha = volume.uniform(-2.0, 2.0), volume.uniform(0.0, 2.0 * math.pi)
+        k = _log_uniform(volume, 1e-4, 1.0) * volume.choice((1, 2)) * math.pi ** 2 / (
+            1440.0 * L ** 4)
+        ca, sa = math.cos(alpha), math.sin(alpha)
+        box = [Interval(xi0 - 0.5 * L, xi0 + 0.5 * L), *[Interval(-0.5 * a, 0.5 * a)] * 2]
+        records[f"integrate_nd({k!r} (xi {ca!r} + eta {sa!r}), "
+                f"{[(iv.lo, iv.hi) for iv in box]!r})"] = attempt(
+            integrate_nd, lambda xi, eta, chi: k * (xi * ca + eta * sa), box)
     semi_infinite = (
         ("t^2 e^-t", lambda t: t * t * math.exp(-t)),
         ("sin(t) e^-t", lambda t: math.sin(t) * math.exp(-t)),
