@@ -48,7 +48,6 @@ _EPS = sys.float_info.epsilon
 # spacing of the subnormals, 2 eta: a product that underflows is off by at most
 # eta = 2^-1075 (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §2.1)
 _TINY = 2.0 ** -1074
-_CBRT_EPS = _EPS ** (1.0 / 3.0)
 
 _MAX_SPLITS = 40  # panel splits before ConvergenceError
 # [lo, inf) mapped onto u in [0, 1) starts as these two panels
@@ -69,11 +68,16 @@ _GL16_WEIGHTS = (
 
 class Interval(FrozenValue):
     """Integration interval ``[lo, hi]`` with a finite ``lo``; ``hi = inf``
-    makes it semi-infinite."""
+    makes it semi-infinite. An int end past the double range raises
+    :class:`DomainError`, as an infinite ``lo`` does."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float = math.inf) -> None:
+        # compared exactly, and before the ends are formatted or passed to
+        # math.isinf, which raises on an int past the double range
+        if sys.float_info.max < abs(lo) < math.inf or sys.float_info.max < abs(hi) < math.inf:
+            raise DomainError("interval ends must lie in the double range")
         if not lo < hi:
             raise DomainError(f"interval requires lo < hi, got [{lo}, {hi}]")
         if math.isinf(lo):
@@ -116,10 +120,9 @@ class SeriesResult(FrozenValue):
     - the zeta closed form in ``compare_schemes``: 0; the 50 terms of the
       Euler-Maclaurin sum behind ``riemann_zeta``.
 
-    Results combine only through :meth:`scaled` and ``+``: a constant
-    factor c gives (c value, |c| bound, terms), and a sum adds values,
-    bounds and terms. A result is always finite: a value or bound that
-    leaves the double range, or a ``terms_used`` that is not an integer,
+    Results combine only through :meth:`scaled`: a constant factor c gives
+    (c value, |c| bound, terms). A result is always finite: a value or bound
+    that leaves the double range, or a ``terms_used`` that is not an integer,
     raises :class:`DomainError` on construction.
     """
 
@@ -139,10 +142,6 @@ class SeriesResult(FrozenValue):
         """This result times the exact constant ``c``."""
         return SeriesResult(c * self.value, abs(c) * self.error_bound, self.terms_used)
 
-    def __add__(self, other: SeriesResult) -> SeriesResult:
-        return SeriesResult(self.value + other.value, self.error_bound + other.error_bound,
-                            self.terms_used + other.terms_used)
-
 
 # the 16 nodes on [-1, 1] in ascending order, and their weights in the same order
 _NODES = tuple(-x for x in reversed(_GL16_NODES)) + _GL16_NODES
@@ -150,11 +149,10 @@ _WEIGHTS = tuple(reversed(_GL16_WEIGHTS)) + _GL16_WEIGHTS
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre(dim: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The 16 Gauss-Legendre nodes on [-1, 1] in ascending order and the
-    ``dim``-fold tensor product of their weights, in :func:`itertools.product`
-    order."""
-    return _NODES, tuple(math.prod(ws) for ws in product(_WEIGHTS, repeat=dim))
+def _tensor_weights(dim: int) -> tuple[float, ...]:
+    """The ``dim``-fold tensor product of the 16 Gauss-Legendre weights, in
+    :func:`itertools.product` order over ``_NODES``."""
+    return tuple(math.prod(ws) for ws in product(_WEIGHTS, repeat=dim))
 
 
 @lru_cache(maxsize=128)
@@ -165,7 +163,7 @@ def _axis_nodes(lo: float, hi: float) -> tuple[tuple[float, ...], float]:
     its half-boxes' siblings, and callers integrate over the same intervals
     call after call. Ends equal by ``==`` (-0.0 and 0.0, an int and its float)
     give the same doubles here, so a cached entry is what a fresh call returns;
-    only int ends whose sum leaves the double range differ, raising
+    only two int ends whose sum leaves the double range differ, raising
     OverflowError where their float twins give non-finite nodes, which
     :func:`_box_sums` refuses.
     """
@@ -174,18 +172,18 @@ def _axis_nodes(lo: float, hi: float) -> tuple[tuple[float, ...], float]:
     return tuple([mid + half * x for x in _NODES]), half
 
 
-def _box_sums(f, box, nodes, weights) -> tuple[float, float, float]:
+def _box_sums(f, box, weights) -> tuple[float, float, float]:
     """Tensor Gauss-Legendre estimate of (integral, integral of |f|) on
     ``box``, one ``(lo, hi)`` per axis, and the box's half-volume, which
-    scales both. ``nodes(lo, hi)`` gives an axis's nodes and half-width."""
+    scales both."""
     if len(box) == 1:
-        xs, scale = nodes(*box[0])
+        xs, scale = _axis_nodes(*box[0])
         ys = map(f, xs)
     else:
         axes = []
         scale = 1.0
         for lo, hi in box:
-            xs, half = nodes(lo, hi)
+            xs, half = _axis_nodes(lo, hi)
             axes.append(xs)
             scale *= half
         ys = starmap(f, product(*axes))
@@ -204,13 +202,13 @@ def _box_sums(f, box, nodes, weights) -> tuple[float, float, float]:
     return scale * total, gross, scale
 
 
-def _refined_panel(f, box, coarse: float, nodes, weights) -> tuple:
+def _refined_panel(f, box, coarse: float, weights) -> tuple:
     """Panel ``(error, value, gross, halves)`` of ``box``: ``value`` sums the
     2^d half-boxes, ``halves`` holds ``(half-box, value, gross, scale)`` for each,
     and ``error`` is the difference against ``coarse``, the single-box
     estimate."""
     bisected = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in box]
-    halves = [(half, *_box_sums(f, half, nodes, weights)) for half in product(*bisected)]
+    halves = [(half, *_box_sums(f, half, weights)) for half in product(*bisected)]
     fine = math.fsum([h[1] for h in halves])
     return abs(fine - coarse), fine, math.fsum([h[2] for h in halves]), halves
 
@@ -219,14 +217,14 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
     """Adaptive tensor Gauss-Legendre quadrature of ``f`` over ``boxes``, all
     with the same number of axes; see the module docstring."""
     dim = len(boxes[0])
-    nodes, weights = _axis_nodes, _gauss_legendre(dim)[1]
+    weights = _tensor_weights(dim)
     # every later box lies inside one of these, with a smaller scaling
     half_volume = 0.0
     panels = []
     for box in boxes:
-        coarse, _, scale = _box_sums(f, box, nodes, weights)
+        coarse, _, scale = _box_sums(f, box, weights)
         half_volume = max(half_volume, scale)
-        panels.append(_refined_panel(f, box, coarse, nodes, weights))
+        panels.append(_refined_panel(f, box, coarse, weights))
     evals = len(boxes) * (1 + 2 ** dim) * len(weights)
 
     splits = 0
@@ -234,17 +232,17 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
         total = math.fsum([p[1] for p in panels])
         err = math.fsum([p[0] for p in panels])
         gross = math.fsum([p[2] for p in panels])
-        # The second acceptance branch stops refinement once the estimated
-        # error sits at the rounding noise of the accumulated quadrature
-        # sums; below that level the relative target is unattainable.
-        if err <= max(spec.relative_tolerance * abs(total), 64.0 * _EPS * gross):
-            # 64 u gross, u = eps / 2: where the rule is exact, fine and
-            # coarse can agree to the bit while their rounding does not vanish.
-            # Below the normal range that term underflows to 0, so each
-            # evaluation adds 2 eta, for f's last product and its weight's, times
-            # its box's half-volume, and each box 2 eta for the products that
-            # scale it; nothing when every w |f| is 0, which the rule sums exactly.
-            underflow = _TINY * evals * (half_volume + 1.0 / len(weights)) if gross else 0.0
+        # 64 u gross, u = eps / 2: where the rule is exact, fine and coarse
+        # can agree to the bit while their rounding does not vanish. Below the
+        # normal range that term underflows to 0, so each evaluation adds
+        # 2 eta, for f's last product and its weight's, times its box's
+        # half-volume, and each box 2 eta for the products that scale it;
+        # nothing when every w |f| is 0, which the rule sums exactly.
+        underflow = _TINY * evals * (half_volume + 1.0 / len(weights)) if gross else 0.0
+        # The second and third acceptance branches stop refinement once the
+        # estimated error sits at the rounding noise of the accumulated
+        # quadrature sums; below that level the relative target is unattainable.
+        if err <= max(spec.relative_tolerance * abs(total), 64.0 * _EPS * gross, underflow):
             return SeriesResult(total, err + 32.0 * _EPS * gross + underflow, evals)
         if splits >= _MAX_SPLITS:
             raise ConvergenceError(
@@ -255,7 +253,7 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
         worst = max(panels, key=itemgetter(0))  # the oldest of equal errors
         panels.remove(worst)
         for half_box, coarse, _, _ in worst[3]:
-            panels.append(_refined_panel(f, half_box, coarse, nodes, weights))
+            panels.append(_refined_panel(f, half_box, coarse, weights))
         evals += 4 ** dim * len(weights)
         splits += 1
 
@@ -330,21 +328,13 @@ def integrate_nd(
     return _adaptive(f, [tuple([(iv.lo, iv.hi) for iv in ivs])], spec)
 
 
-def default_step(x: float) -> float:
-    """Default finite-difference step ``eps^(1/3) |x|``, balancing truncation
-    and rounding (Numerical Recipes, 3rd ed., section 5.7); ``eps^(1/3)`` at
-    x = 0. Relative, so ``x +/- h`` keeps the sign of ``x``."""
-    return _CBRT_EPS * (abs(x) or 1.0)
-
-
-def central_diff(f: Callable[[float], float], x: float, h: float | None = None) -> float:
+def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
     """Second-order central difference ``(f(x+h) - f(x-h)) / (2h)``.
 
-    The caller owns the step choice; ``h=None`` selects
-    :func:`default_step`. Raises :class:`DomainError` on NaN/Inf from ``f``.
+    The caller owns the step ``h > 0``, which balances truncation, of order
+    h^2, against rounding, of order eps / h. Raises :class:`DomainError` on a
+    step that is not positive and on NaN/Inf from ``f``.
     """
-    if h is None:
-        h = default_step(x)
     if not h > 0:
         raise DomainError(f"step must be positive, got {h}")
     fp = f(x + h)

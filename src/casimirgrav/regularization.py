@@ -19,7 +19,7 @@ from enum import Enum
 from itertools import count, repeat
 
 from .cavity import check_geometry
-from .errors import CasimirError, DomainError, FrozenValue, check_integer
+from .errors import CasimirError, DivergentSeriesError, DomainError, FrozenValue, check_integer
 from .numerics import (
     Interval,
     QuadratureSpec,
@@ -68,9 +68,11 @@ def riemann_zeta(s: float) -> float:
     too, where zeta(s) ~ 1/(s - 1) reaches 4.5e15; a test holds it to 8 u.
     From s = 54 on, zeta(s) - 1 <= 2^-s (1 + 2/(s-1)) is below half an ulp
     of 1, so the value is 1.0 (the Bernoulli terms would reach inf * 0).
+    An s <= 1 raises :class:`DivergentSeriesError`, a NaN or infinite s
+    :class:`DomainError`.
     """
     if s <= 1:
-        raise DomainError(f"zeta partial sums diverge for s = {s} <= 1")
+        raise DivergentSeriesError(f"zeta partial sums diverge for s = {s} <= 1")
     if not math.isfinite(s):
         raise DomainError(f"zeta needs a finite s, got {s}")
     if s >= 54.0:

@@ -80,11 +80,6 @@ class PlateApparatus(FrozenValue):
     def area(self) -> float:
         return self.a * self.a
 
-    @property
-    def z0(self) -> float:
-        """Vertical offset of the apparatus center, xi0 cos(alpha)."""
-        return self.xi0 * math.cos(self.alpha)
-
     def cavity(self) -> CavityConfig:
         return CavityConfig(self.L, self.polarizations)
 

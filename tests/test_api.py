@@ -14,7 +14,7 @@ MODULES = (cavity, errors, numerics, regularization, weakfield)
 HELPERS = [
     (cavity, "METRIC_DIAGONAL"), (cavity, "check_geometry"),
     (errors, "check_integer"), (errors, "check_finite"), (errors, "check_normal"),
-    (errors, "FrozenValue"), (numerics, "default_step"), (numerics, "relative_discrepancy"),
+    (errors, "FrozenValue"), (numerics, "relative_discrepancy"),
 ]
 
 

@@ -13,7 +13,6 @@ from casimirgrav.numerics import (
     QuadratureSpec,
     SeriesResult,
     central_diff,
-    default_step,
     integrate_1d,
     integrate_nd,
     relative_discrepancy,
@@ -62,6 +61,16 @@ def test_interval_ordering_validated():
         Interval(2.0, 1.0)
     with pytest.raises(DomainError, match="lower endpoint must be finite"):
         Interval(-math.inf, 0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-10**400, 0), (0, 10**400), (-10**400, math.inf),
+                                    (10**5000, 0)],
+                         ids=["-10^400, 0", "0, 10^400", "-10^400, inf", "10^5000, 0"])
+def test_interval_refuses_an_int_end_past_the_double_range(lo, hi):
+    # math.isinf raised OverflowError on such an end, and the quadrature too;
+    # formatting 10**5000 in a message raises ValueError
+    with pytest.raises(DomainError, match="ends must lie in the double range"):
+        Interval(lo, hi)
 
 
 def test_quadrature_spec_validated():
@@ -120,7 +129,7 @@ def _legendre_16_root(x):
 
 
 def test_gauss_legendre_table_is_nearest_doubles():
-    nodes, weights = numerics._gauss_legendre(1)
+    nodes, weights = numerics._NODES, numerics._tensor_weights(1)
     assert len(nodes) == 16 and list(nodes) == sorted(nodes)
     for x, w in zip(nodes, weights):
         root, weight = _legendre_16_root(x)
@@ -128,7 +137,7 @@ def test_gauss_legendre_table_is_nearest_doubles():
 
 
 def test_tensor_rule_integrates_bivariate_monomials_exactly():
-    nodes, weights = numerics._gauss_legendre(2)
+    nodes, weights = numerics._NODES, numerics._tensor_weights(2)
     with mpmath.workdps(40):
         powers = [[mpmath.mpf(x) ** j for j in range(32)] for x in nodes]
         cells = [(mpmath.mpf(w), px, py)
@@ -256,10 +265,19 @@ def test_abel_plana_evaluations():
                                    + mpmath.mpf(0.3) * mpmath.mpf(0.5))),
     (lambda x, y, z: 1e-310 * x * y * z, [Interval(0.1, 1.0)] * 3,
      lambda: mpmath.mpf(1e-310) * ((1 - mpmath.mpf(0.1) ** 2) / 2) ** 3),
-], ids=["1e-310 (x + 0.3)", "3e-320 x^2", "1e-310 (x + 2 y + 0.3)", "1e-310 x y z"])
+    # deep below the normal range the two estimates never agree to the bit;
+    # refinement stops once their difference is within the underflow term
+    (lambda x, y, z: 3e-320 * x * y * z, [Interval(0.1, 1.0)] * 3,
+     lambda: mpmath.mpf(3e-320) * ((1 - mpmath.mpf(0.1) ** 2) / 2) ** 3),
+    (lambda x, y, z: 3e-320 * (x + y + z), [Interval(0.1, 1.0)] * 3,
+     lambda: mpmath.mpf(3e-320) * 3 * (1 - mpmath.mpf(0.1) ** 2) / 2
+     * (1 - mpmath.mpf(0.1)) ** 2),
+], ids=["1e-310 (x + 0.3)", "3e-320 x^2", "1e-310 (x + 2 y + 0.3)", "1e-310 x y z",
+        "3e-320 x y z", "3e-320 (x + y + z)"])
 def test_subnormal_integral_bound_holds(f, box, exact):
     # 64 u times a subnormal quadrature of |f| underflows to 0; the
-    # gradual-underflow term keeps the bound positive and enclosing
+    # gradual-underflow term keeps the bound positive and enclosing, and
+    # accepts as the rounding-noise test does in the normal range
     res = integrate_nd(f, box)
     with mpmath.workdps(50):
         assert 0.0 < abs(mpmath.mpf(res.value) - exact()) <= res.error_bound
@@ -268,7 +286,7 @@ def test_subnormal_integral_bound_holds(f, box, exact):
 def _literal_box_sums(f, box):
     """``_box_sums`` written out: every node from its axis's ends, and the sums
     of w f and w |f| over :func:`itertools.product`."""
-    nodes, weights = numerics._gauss_legendre(len(box))
+    nodes, weights = numerics._NODES, numerics._tensor_weights(len(box))
     axes = []
     scale = 1.0
     for lo, hi in box:
@@ -286,8 +304,7 @@ def _literal_box_sums(f, box):
 
 
 def _box_sums(f, box):
-    return numerics._box_sums(f, box, numerics._axis_nodes,
-                              numerics._gauss_legendre(len(box))[1])
+    return numerics._box_sums(f, box, numerics._tensor_weights(len(box)))
 
 
 def _hex(sums):
@@ -390,11 +407,6 @@ def test_series_result_scaled():
     assert res.scaled(1.0) == res
 
 
-def test_series_result_add():
-    total = SeriesResult(1.0, 0.25, 3) + SeriesResult(-4.0, 0.5, 5)
-    assert total == SeriesResult(-3.0, 0.75, 8)
-
-
 @pytest.mark.parametrize("value, bound, terms_used", [
     (math.nan, 0.0, 1), (math.inf, 0.0, 1), (-math.inf, 0.0, 1), (1.0, math.inf, 1),
     (1.0, math.nan, 1), (1.0, 0.0, 2.5), (1.0, 0.0, math.nan), (1.0, -0.5, 1), (1.0, 0.0, 0),
@@ -411,8 +423,6 @@ def test_series_result_combination_past_double_range_raises():
         SeriesResult(1e300, 1.0, 1).scaled(1e10)
     with pytest.raises(DomainError):
         SeriesResult(1.0, 1e300, 1).scaled(-1e10)
-    with pytest.raises(DomainError):
-        SeriesResult(1.7e308, 0.0, 1) + SeriesResult(1.7e308, 0.0, 1)
 
 
 def test_relative_discrepancy():
@@ -464,14 +474,6 @@ def test_central_diff_observed_order_two():
     e1 = abs(central_diff(f, 1.3, h) - (3 * 1.3 ** 2 - 4 * 1.3 + 0.5))
     e2 = abs(central_diff(f, 1.3, h / 2) - (3 * 1.3 ** 2 - 4 * 1.3 + 0.5))
     assert abs(math.log2(e1 / e2) - 2.0) < 0.05
-
-
-def test_central_diff_default_step():
-    cbrt_eps = np.finfo(np.float64).eps ** (1.0 / 3.0)
-    assert default_step(0.0) == pytest.approx(cbrt_eps, rel=1e-15)
-    assert default_step(100.0) == pytest.approx(100.0 * cbrt_eps, rel=1e-15)
-    assert default_step(-1e-6) == pytest.approx(1e-6 * cbrt_eps, rel=1e-15)
-    assert central_diff(lambda x: x * x, 3.0) == pytest.approx(6.0, rel=1e-9)
 
 
 def test_central_diff_domain_error():

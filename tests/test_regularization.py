@@ -7,7 +7,7 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 
 from casimirgrav import regularization
-from casimirgrav.errors import ConvergenceError, DomainError, GeometryError
+from casimirgrav.errors import ConvergenceError, DivergentSeriesError, DomainError, GeometryError
 from casimirgrav.numerics import Interval, QuadratureSpec, integrate_1d, tail_bounded_power_sum
 from casimirgrav.regularization import (
     MAX_IMAGE_TERMS,
@@ -38,10 +38,10 @@ def test_zeta_monotone_decreasing_above_one():
 
 
 def test_zeta_domain():
-    with pytest.raises(DomainError):
-        riemann_zeta(1.0)
-    with pytest.raises(DomainError):
-        riemann_zeta(0.5)
+    # the documented kind for a divergent series, as tail_bounded_power_sum raises
+    for s in (1.0, 0.5):
+        with pytest.raises(DivergentSeriesError, match=f"diverge for s = {s} <= 1"):
+            riemann_zeta(s)
     for s in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             riemann_zeta(s)

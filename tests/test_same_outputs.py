@@ -1,11 +1,13 @@
 """Smoke test of tools/same_outputs.py: two recordings that differ by one ulp
-in one SeriesResult, by one byte in one figure file, or by one public name of
-the package, ``units`` or ``figures``, show that difference and nothing else."""
+in one SeriesResult, by one byte in one figure file, by one public name of
+the package, ``units`` or ``figures``, or by a default or a method of the
+API, show that difference and nothing else."""
 
 import json
 import math
 import shutil
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,41 @@ def test_one_missing_public_name_is_reported(recording, module):
     same_outputs.save(change, records)
     assert same_outputs.differences(recording, change) == [
         f"{key}: line 1: {names[0]!r} -> {names[1]!r} (relative size not numeric)"]
+
+
+PARENT_API = """
+def diff(f, x, h=None):
+    pass
+
+class Result:
+    def scaled(self, c):
+        pass
+
+    def __add__(self, other):
+        pass
+"""
+
+# the same names, with the step's default and Result.__add__ gone
+CHANGE_API = """
+def diff(f, x, h):
+    pass
+
+class Result:
+    def scaled(self, c):
+        pass
+"""
+
+
+def test_a_dropped_default_and_a_dropped_method_are_reported(tmp_path):
+    outs = []
+    for side, source in (("parent", PARENT_API), ("change", CHANGE_API)):
+        module = types.ModuleType("api")
+        exec(source, module.__dict__)
+        out = tmp_path / side
+        (out / same_outputs.FILES).mkdir(parents=True)
+        same_outputs.save(out, same_outputs.api_records(module, ["diff", "Result"]))
+        outs.append(out)
+    assert same_outputs.differences(*outs) == [
+        "api.Result attributes: line 1: '__add__' -> '__dict__' (relative size not numeric)",
+        "api.diff signature: line 1: '(f, x, h=None)' -> '(f, x, h)' (relative size not numeric)",
+    ]

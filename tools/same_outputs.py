@@ -6,8 +6,9 @@
 Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
 
 - the package's public top-level names, and the ``__all__`` of ``units`` and
-  ``figures``, which the top level does not re-export, so that any drift in
-  the API shows;
+  ``figures``, which the top level does not re-export, with the signature of
+  each callable among them and the attributes of each class, so that any
+  drift in the API shows, a dropped default or method too;
 - the CLI, in-process through ``cli.main``: every subcommand in natural and
   SI units, ``--help``, argument errors, the documented exit-2 cases
   (out-of-domain inputs, results past the double range, SI and natural
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -352,9 +354,27 @@ def save(out: Path, records: dict) -> None:
                                encoding="utf-8")
 
 
+def api_records(module, names) -> dict[str, str]:
+    """The signature of each callable among ``names`` of ``module``, and the
+    attributes of each class, one sorted name a line: one record each."""
+    records = {}
+    for name in names:
+        obj = getattr(module, name)
+        key = f"{module.__name__}.{name}"
+        if callable(obj):
+            try:
+                records[f"{key} signature"] = str(inspect.signature(obj))
+            except ValueError:  # an exception class: its __init__ is built in
+                pass
+        if isinstance(obj, type):
+            records[f"{key} attributes"] = "\n".join(sorted(vars(obj)))
+    return records
+
+
 def public_names() -> dict[str, str]:
     """The public names of the package's top level, ``units`` and ``figures``:
-    one record each, one sorted name a line."""
+    one record each, one sorted name a line, and the :func:`api_records` of
+    the package's, units' and figures' ``__all__``."""
     import casimirgrav
 
     # read before importing units and figures, which would add them to dir()
@@ -362,7 +382,10 @@ def public_names() -> dict[str, str]:
     from casimirgrav import figures, units
 
     names.update((module.__name__, module.__all__) for module in (units, figures))
-    return {f"{module} public names": "\n".join(sorted(n)) for module, n in names.items()}
+    records = {f"{module} public names": "\n".join(sorted(n)) for module, n in names.items()}
+    for module in (casimirgrav, units, figures):
+        records.update(api_records(module, module.__all__))
+    return records
 
 
 def record(out: Path) -> None:
