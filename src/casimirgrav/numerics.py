@@ -1,25 +1,26 @@
-"""Deterministic numerical engine: adaptive tensor Gauss-Legendre quadrature
+"""Deterministic numerical engine: adaptive tensor Gauss-Kronrod quadrature
 on boxes of 1-3 axes (finite intervals, semi-infinite ones after a change of
 variable), central finite differences, and partial sums with rigorous tail
 bounds.
 
-One adaptive loop serves every integral. A panel is a box with the rule
-already evaluated on it and on its 2^d half-boxes; its error estimate is
-|sum of halves - whole|. The panels are kept in a list, in the order they
-were made. The worst panel, the oldest among equal errors, is split into
-its half-boxes, each refined against the value it already carries, so no
-box is evaluated twice. The reported bound adds 64 u (u = 2^-53) times the
-quadrature of |f| to the panel estimates, for the rounding of the sums,
-which |sum of halves - whole| does not see, and an absolute term for
-gradual underflow, which no relative term sees once the integral is
-subnormal.
+One adaptive loop serves every integral. A panel is a box with the 31-point
+Kronrod rule evaluated once on it, on every axis; the 15-point Gauss rule
+uses the Kronrod nodes at odd positions, so its estimate costs no extra
+call, and the panel's error estimate is |Kronrod - Gauss|. The panels are
+kept in a list, in the order they were made. The worst panel, the oldest
+among equal errors, is split into its 2^d half-boxes (every axis bisected),
+each a new panel. The reported value sums the Kronrod estimates; the bound
+adds 64 u (u = 2^-53) times the quadrature of |f| to the panel estimates,
+for the rounding of the sums, which |Kronrod - Gauss| does not see, and an
+absolute term for gradual underflow, which no relative term sees once the
+integral is subnormal.
 
 All functions are pure. The only state is two bounded caches of constants:
-the tensor weights for each of the 1-3 axis counts, and the nodes of the
-most recently used axes, keyed on their ends, which a call computes to the
-same doubles whether or not they are cached. So every entry point is safe to
-call concurrently (integrands supplied by callers must be reentrant
-themselves).
+the tensor weights of a slab (every axis but the first) of a 2- and of a
+3-axis box, and the nodes of the most recently used axes, keyed on their
+ends, which a call computes to the same doubles whether or not they are
+cached. So every entry point is safe to call concurrently (integrands
+supplied by callers must be reentrant themselves).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import sys
 from functools import lru_cache
 from itertools import count, product, repeat, starmap
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Sequence
 
 from .errors import (ConvergenceError, DivergentSeriesError, DomainError, FrozenValue,
@@ -53,16 +54,28 @@ _MAX_SPLITS = 40  # panel splits before ConvergenceError
 # [lo, inf) mapped onto u in [0, 1) starts as these two panels
 _SEMI_INFINITE_PANELS = (((0.0, 0.5),), ((0.5, 1.0),))
 
-# The 8 positive nodes of the 16-point Gauss-Legendre rule on [-1, 1] (the
-# roots of P_16) and their weights 2 / ((1 - x^2) P_16'(x)^2), each the double
-# nearest its 50-digit value; the rule is symmetric about 0.
-_GL16_NODES = (
-    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+# QUADPACK's 31-point Kronrod extension of the 15-point Gauss-Legendre rule on
+# [-1, 1] (qk31; Piessens et al., QUADPACK, 1983). The rule is symmetric about
+# 0: its 16 non-negative nodes in descending order, the roots of the Stieltjes
+# polynomial E_16 alternating with those of P_15, which end with 0; their
+# interpolatory Kronrod weights; and the Gauss weights of the P_15 roots
+# (every second node here, from the second), 2 / ((1 - x^2) P_15'(x)^2). Each
+# is the double nearest its 50-digit value.
+_K31_NODES = (
+    0.9980022986933971, 0.9879925180204854, 0.9677390756791391, 0.937273392400706,
+    0.8972645323440819, 0.8482065834104272, 0.790418501442466, 0.7244177313601701,
+    0.650996741297417, 0.5709721726085388, 0.4850818636402397, 0.3941513470775634,
+    0.29918000715316884, 0.20119409399743451, 0.1011420669187175, 0.0,
 )
-_GL16_WEIGHTS = (
-    0.1894506104550685, 0.18260341504492358, 0.16915651939500254, 0.14959598881657674,
-    0.12462897125553388, 0.09515851168249279, 0.062253523938647894, 0.027152459411754096,
+_K31_WEIGHTS = (
+    0.005377479872923349, 0.015007947329316122, 0.02546084732671532, 0.03534636079137585,
+    0.04458975132476488, 0.05348152469092809, 0.06200956780067064, 0.06985412131872826,
+    0.07684968075772038, 0.08308050282313302, 0.08856444305621176, 0.09312659817082532,
+    0.09664272698362368, 0.09917359872179196, 0.10076984552387559, 0.10133000701479154,
+)
+_G15_WEIGHTS = (
+    0.03075324199611727, 0.07036604748810812, 0.10715922046717194, 0.13957067792615432,
+    0.16626920581699392, 0.1861610000155622, 0.19843148532711158, 0.2025782419255613,
 )
 
 
@@ -91,7 +104,7 @@ class Interval(FrozenValue):
 
 class QuadratureSpec(FrozenValue):
     """Relative tolerance of the adaptive quadrature, the one setting of its
-    fixed rule (16 Gauss-Legendre nodes per axis, at most 40 panel splits)."""
+    fixed rule (31 Gauss-Kronrod nodes per axis, at most 40 panel splits)."""
 
     __slots__ = ("relative_tolerance",)
 
@@ -111,11 +124,11 @@ class SeriesResult(FrozenValue):
       analytic integral-comparison tail bound; the number of series terms.
     - quadrature (:func:`integrate_1d`, :func:`integrate_nd`, Abel-Plana,
       the quadrature energy shift): the sum over panels of
-      |half-box refinement - single-box estimate|, plus 64 u (u = 2^-53)
-      times the quadrature of |f| for the rounding of the sums, plus, for
-      gradual underflow, 2^-1074 per evaluation times the largest starting
-      box's half-volume and 2^-1074 per evaluated box (16^-d per evaluation
-      on d axes); integrand evaluations.
+      |Kronrod estimate - Gauss estimate|, plus 64 u (u = 2^-53) times the
+      quadrature of |f| for the rounding of the sums, plus, for gradual
+      underflow, 2^-1074 per evaluation times the largest starting box's
+      half-volume and 2^-1074 per evaluated box (31^-d per evaluation on d
+      axes); integrand evaluations.
     - Abel-Plana at even exponents: 0, the value being exactly zero; 1.
     - the zeta closed form in ``compare_schemes``: 0; the 50 terms of the
       Euler-Maclaurin sum behind ``riemann_zeta``.
@@ -143,102 +156,128 @@ class SeriesResult(FrozenValue):
         return SeriesResult(c * self.value, abs(c) * self.error_bound, self.terms_used)
 
 
-# the 16 nodes on [-1, 1] in ascending order, and their weights in the same order
-_NODES = tuple(-x for x in reversed(_GL16_NODES)) + _GL16_NODES
-_WEIGHTS = tuple(reversed(_GL16_WEIGHTS)) + _GL16_WEIGHTS
+_POINTS = 2 * len(_K31_NODES) - 1  # Kronrod nodes per axis
+# the 31 nodes on [-1, 1] in ascending order and their Kronrod weights; the
+# Gauss weights of the nodes at odd positions, _NODES[1::2], in the same order
+_NODES = tuple(-x for x in _K31_NODES[:-1]) + _K31_NODES[::-1]
+_WEIGHTS = _K31_WEIGHTS[:-1] + _K31_WEIGHTS[::-1]
+_GAUSS_WEIGHTS = _G15_WEIGHTS[:-1] + _G15_WEIGHTS[::-1]
 
 
 @lru_cache(maxsize=None)
-def _tensor_weights(dim: int) -> tuple[float, ...]:
-    """The ``dim``-fold tensor product of the 16 Gauss-Legendre weights, in
-    :func:`itertools.product` order over ``_NODES``."""
-    return tuple(math.prod(ws) for ws in product(_WEIGHTS, repeat=dim))
+def _slab_weights(axes: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
+    """The ``axes``-fold tensor products of the Kronrod and of the Gauss
+    weights, in :func:`itertools.product` order, and the positions of the
+    Gauss nodes among the Kronrod ones in that order."""
+    gauss_index = (0,)
+    for _ in range(axes):
+        gauss_index = tuple([_POINTS * k + i for k in gauss_index for i in range(1, _POINTS, 2)])
+    return (tuple(math.prod(ws) for ws in product(_WEIGHTS, repeat=axes)),
+            tuple(math.prod(ws) for ws in product(_GAUSS_WEIGHTS, repeat=axes)),
+            gauss_index)
 
 
 @lru_cache(maxsize=128)
 def _axis_nodes(lo: float, hi: float) -> tuple[tuple[float, ...], float]:
-    """The 16 nodes on the axis ``[lo, hi]`` and its half-width.
+    """The 31 nodes on the axis ``[lo, hi]`` and its half-width.
 
     Cached on ``(lo, hi)``: an adaptive run meets each axis of a box again in
     its half-boxes' siblings, and callers integrate over the same intervals
-    call after call. Ends equal by ``==`` (-0.0 and 0.0, an int and its float)
-    give the same doubles here, so a cached entry is what a fresh call returns;
-    only two int ends whose sum leaves the double range differ, raising
-    OverflowError where their float twins give non-finite nodes, which
-    :func:`_box_sums` refuses.
+    call after call. Ends equal by ``==`` (-0.0 and 0.0, an int and its
+    float) give the same doubles here, so a cached entry is what a fresh call
+    returns. Two ends whose sum leaves the double range give non-finite
+    nodes, which :func:`_box_sums` refuses unless ``f`` is finite there.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return tuple([mid + half * x for x in _NODES]), half
 
 
-def _box_sums(f, box, weights) -> tuple[float, float, float]:
-    """Tensor Gauss-Legendre estimate of (integral, integral of |f|) on
-    ``box``, one ``(lo, hi)`` per axis, and the box's half-volume, which
-    scales both."""
+def _box_sums(f, box) -> tuple[float, float, float, float]:
+    """Kronrod and Gauss estimates of the integral of ``f`` over ``box``, one
+    ``(lo, hi)`` per axis, the Kronrod estimate of the integral of |f|, and
+    the box's half-volume, which scales all three.
+
+    One axis sums its 31 products w f with :func:`math.fsum`. On more axes
+    the evaluations stream one slab at a time, a slab being the nodes that
+    share a node of the first axis: its sums over the other axes run in
+    order, and the 31 slab sums, each times its first-axis weight, go to
+    :func:`math.fsum`. Every weight is positive, so |w f| is w |f| to the bit.
+    """
+    xs, scale = _axis_nodes(*box[0])
     if len(box) == 1:
-        xs, scale = _axis_nodes(*box[0])
-        ys = map(f, xs)
+        ys = list(map(f, xs))
+        k_terms = list(map(mul, _WEIGHTS, ys))
+        g_terms = map(mul, _GAUSS_WEIGHTS, ys[1::2])
+        a_terms = map(abs, k_terms)
     else:
-        axes = []
-        scale = 1.0
-        for lo, hi in box:
-            xs, half = _axis_nodes(lo, hi)
-            axes.append(xs)
+        inner = []
+        for lo, hi in box[1:]:
+            nodes, half = _axis_nodes(lo, hi)
+            inner.append(nodes)
             scale *= half
-        ys = starmap(f, product(*axes))
-    total = 0.0
-    gross = 0.0
-    # every weight is positive, so |w y| is w |y| to the bit
-    for w, y in zip(weights, ys):
-        y *= w
-        total += y
-        gross += abs(y)
+        k_weights, g_weights, g_index = _slab_weights(len(inner))
+        k_terms, g_terms, a_terms = [], [], []
+        for i, x in enumerate(xs):
+            ys = list(starmap(f, product((x,), *inner)))
+            total = 0.0
+            absolute = 0.0
+            for w, y in zip(k_weights, ys):
+                y *= w
+                total += y
+                absolute += abs(y)
+            k_terms.append(_WEIGHTS[i] * total)
+            a_terms.append(_WEIGHTS[i] * absolute)
+            if i % 2:
+                total = 0.0
+                for w, y in zip(g_weights, map(ys.__getitem__, g_index)):
+                    total += w * y
+                g_terms.append(_GAUSS_WEIGHTS[i // 2] * total)
+    try:
+        gross = math.fsum(a_terms) * scale
+        kronrod = math.fsum(k_terms)
+        gauss = math.fsum(g_terms)
+    except (OverflowError, ValueError):  # a sum past the double range, or inf - inf
+        gross = math.inf
     # a NaN or infinite value anywhere, or a box volume or integral past the
     # double range, leaves the scaled sum of |f| non-finite
-    gross *= scale
     if not math.isfinite(gross):
         raise DomainError(f"integral is not finite on the box {box}")
-    return scale * total, gross, scale
+    return scale * kronrod, scale * gauss, gross, scale
 
 
-def _refined_panel(f, box, coarse: float, weights) -> tuple:
-    """Panel ``(error, value, gross, halves)`` of ``box``: ``value`` sums the
-    2^d half-boxes, ``halves`` holds ``(half-box, value, gross, scale)`` for each,
-    and ``error`` is the difference against ``coarse``, the single-box
-    estimate."""
-    bisected = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in box]
-    halves = [(half, *_box_sums(f, half, weights)) for half in product(*bisected)]
-    fine = math.fsum([h[1] for h in halves])
-    return abs(fine - coarse), fine, math.fsum([h[2] for h in halves]), halves
+def _panel(f, box) -> tuple:
+    """Panel ``(error, value, gross, box, scale)`` of ``box``: its Kronrod
+    estimate as value, |Kronrod - Gauss| as error, the estimate of the
+    integral of |f| and the box's half-volume."""
+    kronrod, gauss, gross, scale = _box_sums(f, box)
+    return abs(kronrod - gauss), kronrod, gross, box, scale
 
 
 def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
-    """Adaptive tensor Gauss-Legendre quadrature of ``f`` over ``boxes``, all
+    """Adaptive tensor Gauss-Kronrod quadrature of ``f`` over ``boxes``, all
     with the same number of axes; see the module docstring."""
     dim = len(boxes[0])
-    weights = _tensor_weights(dim)
+    points = _POINTS ** dim
+    panels = [_panel(f, box) for box in boxes]
     # every later box lies inside one of these, with a smaller scaling
-    half_volume = 0.0
-    panels = []
-    for box in boxes:
-        coarse, _, scale = _box_sums(f, box, weights)
-        half_volume = max(half_volume, scale)
-        panels.append(_refined_panel(f, box, coarse, weights))
-    evals = len(boxes) * (1 + 2 ** dim) * len(weights)
+    half_volume = max([p[4] for p in panels])
+    evals = len(boxes) * points
 
     splits = 0
     while True:
         total = math.fsum([p[1] for p in panels])
         err = math.fsum([p[0] for p in panels])
         gross = math.fsum([p[2] for p in panels])
-        # 64 u gross, u = eps / 2: where the rule is exact, fine and coarse
+        # 64 u gross, u = eps / 2: where the rule is exact, Kronrod and Gauss
         # can agree to the bit while their rounding does not vanish. Below the
         # normal range that term underflows to 0, so each evaluation adds
         # 2 eta, for f's last product and its weight's, times its box's
         # half-volume, and each box 2 eta for the products that scale it;
-        # nothing when every w |f| is 0, which the rule sums exactly.
-        underflow = _TINY * evals * (half_volume + 1.0 / len(weights)) if gross else 0.0
+        # nothing when every w |f| is 0, which the rule sums exactly. A
+        # slab's product by its first-axis weight fits in the first part:
+        # the weights of a box sum to 2^d, far below its 31^d evaluations.
+        underflow = _TINY * evals * (half_volume + 1.0 / points) if gross else 0.0
         # The second and third acceptance branches stop refinement once the
         # estimated error sits at the rounding noise of the accumulated
         # quadrature sums; below that level the relative target is unattainable.
@@ -252,9 +291,9 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
             )
         worst = max(panels, key=itemgetter(0))  # the oldest of equal errors
         panels.remove(worst)
-        for half_box, coarse, _, _ in worst[3]:
-            panels.append(_refined_panel(f, half_box, coarse, weights))
-        evals += 4 ** dim * len(weights)
+        bisected = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in worst[3]]
+        panels.extend([_panel(f, half) for half in product(*bisected)])
+        evals += 2 ** dim * points
         splits += 1
 
 
@@ -263,19 +302,20 @@ def integrate_1d(
     iv: Interval,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> SeriesResult:
-    """Integrate ``f`` over ``iv`` with adaptive Gauss-Legendre panels.
+    """Integrate ``f`` over ``iv`` with adaptive Gauss-Kronrod panels.
 
     Finite intervals start as a single panel and are bisected where the
-    two-half refinement disagrees most with the single-panel estimate.
+    31-point Kronrod and the embedded 15-point Gauss estimates disagree most.
     Semi-infinite intervals are mapped onto ``u in [0, 1)`` through
     ``t = lo + u/(1-u)`` and start as the two panels [0, 1/2] and [1/2, 1];
     the refinement finds where the integrand lives, so no decay rate is
     needed. The rule suits integrands that decay smoothly from a peak near
-    unit scale (t^91 e^{-t} misses its bound 6.1 times at 1e-3; a caller
-    rescales such an integrand, as Abel-Plana does); one that oscillates
-    many times per unit t (sin(10 t) e^{-t} and faster) can miss its bound
-    or exhaust the split budget. Nodes never touch interval endpoints, so
-    integrable endpoint singularities (0/0 limits) are tolerated.
+    unit scale; its bound holds for t^91 e^{-t} at 1e-4 and 1e-3 and for
+    sin(10 t) e^{-t} at 1e-6 and 1e-9, but a peak much farther out or faster
+    oscillation can miss it or exhaust the split budget, so a caller
+    rescales such an integrand, as Abel-Plana does. Nodes never touch
+    interval endpoints, so integrable endpoint singularities (0/0 limits)
+    are tolerated.
 
     Args:
       f: integrand, finite on the interior of ``iv``.
@@ -283,7 +323,7 @@ def integrate_1d(
       spec: relative tolerance; see :class:`QuadratureSpec`.
 
     Returns:
-      :class:`SeriesResult` with the refinement error estimate plus
+      :class:`SeriesResult` with the summed |Kronrod - Gauss| estimate plus
       64 u (u = 2^-53) times the quadrature of |f| and a gradual-underflow
       term as bound, and the number of integrand evaluations as
       ``terms_used``.
@@ -293,7 +333,7 @@ def integrate_1d(
       ConvergenceError: if the subdivision budget is exhausted.
     """
     if not iv.is_semi_infinite:
-        return _adaptive(f, [((iv.lo, iv.hi),)], spec)
+        return _adaptive(f, [((float(iv.lo), float(iv.hi)),)], spec)
 
     lo = iv.lo
 
@@ -312,12 +352,14 @@ def integrate_nd(
     """Adaptive tensor-product quadrature over a finite box of dimension 1-3.
 
     The same adaptive rule as :func:`integrate_1d`, on boxes: each panel is
-    compared against its 2^d half-boxes (every axis bisected), and the
-    panel with the largest disagreement is split. ``f`` is called with one
-    positional float per axis, ``f(x0, ..., x_{n-1})``. The reported bound
-    is the sum of those disagreements over all panels, after at most 40
-    panel splits, plus 64 u (u = 2^-53) times the quadrature of |f| for
-    the rounding of the sums and a gradual-underflow term.
+    evaluated once on its 31^d Kronrod nodes, its Kronrod estimate compared
+    against the Gauss estimate on the 15^d nodes among them, and the panel
+    with the largest disagreement is split into its 2^d half-boxes (every
+    axis bisected). ``f`` is called with one positional float per axis,
+    ``f(x0, ..., x_{n-1})``. The reported bound is the sum of those
+    disagreements over all panels, after at most 40 panel splits, plus
+    64 u (u = 2^-53) times the quadrature of |f| for the rounding of the
+    sums and a gradual-underflow term.
     """
     ivs = list(box)
     if not 1 <= len(ivs) <= 3:
@@ -325,7 +367,8 @@ def integrate_nd(
     for iv in ivs:
         if iv.is_semi_infinite:
             raise DomainError("integrate_nd requires finite intervals on every axis")
-    return _adaptive(f, [tuple([(iv.lo, iv.hi) for iv in ivs])], spec)
+    # as doubles, so that no node or bisection adds two int ends exactly
+    return _adaptive(f, [tuple([(float(iv.lo), float(iv.hi)) for iv in ivs])], spec)
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

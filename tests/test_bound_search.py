@@ -2,7 +2,8 @@
 regulator, the 3-axis ``integrate_nd`` of a linear integrand and
 ``riemann_zeta``'s documented relative bound, checked against 50-digit
 mpmath on inputs that Hypothesis steers towards the largest error / bound.
-Abel-Plana's exponent takes only 75 values, so it is also checked on a grid.
+Abel-Plana's exponent takes only 75 values, so it is also checked on a grid,
+and two hard ``integrate_1d`` integrands on [0, inf) at fixed tolerances.
 
 The searches are derandomized and keep no example database, so every run
 draws the same inputs. An input that the library refuses with a package
@@ -14,12 +15,13 @@ import sys
 import warnings
 
 import mpmath
+import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from casimirgrav import regularization
 from casimirgrav.errors import CasimirError, RegimeWarning
-from casimirgrav.numerics import Interval, QuadratureSpec, integrate_nd
+from casimirgrav.numerics import Interval, QuadratureSpec, integrate_1d, integrate_nd
 from casimirgrav.regularization import abel_plana_regularized_power_sum, riemann_zeta
 from casimirgrav.weakfield import PlateApparatus, WeakField, delta_energy_quadrature
 
@@ -117,7 +119,7 @@ def test_abel_plana_bound_searched(p, tolerance):
 
 # Every odd exponent at 46 log-spaced tolerances over [1e-12, 1e-2], 3 450 runs,
 # which reaches misses that the search above does not (the integrand's peak moves
-# out to t ~ p / (2 pi) ~ 24 at p = 149). Worst error / bound 0.72.
+# out to t ~ p / (2 pi) ~ 24 at p = 149). Worst error / bound 0.46 (p = 67).
 def test_abel_plana_bound_holds_on_the_exponent_tolerance_grid():
     tolerances = [10.0 ** (-12 + 10 * k / 45) for k in range(46)]
     with mpmath.workdps(50):
@@ -135,6 +137,24 @@ def test_abel_plana_bound_holds_at_p141_tolerance_1e3():
     res = abel_plana_regularized_power_sum(141, QuadratureSpec(1e-3))
     with mpmath.workdps(50):
         assert abs(mpmath.mpf(res.value) - _abel_plana_truth(141)) <= res.error_bound
+
+
+@pytest.mark.parametrize("f, truth, tolerance", [
+    # a peak far from unit scale, at t = 91
+    (lambda t: t ** 91 * math.exp(-t) if t < 700.0 else 0.0, lambda: mpmath.factorial(91), 1e-4),
+    (lambda t: t ** 91 * math.exp(-t) if t < 700.0 else 0.0, lambda: mpmath.factorial(91), 1e-3),
+    # 1.6 oscillations per unit t, over the few units where e^-t lives
+    (lambda t: math.sin(10.0 * t) * math.exp(-t), lambda: mpmath.mpf(10) / 101, 1e-6),
+    (lambda t: math.sin(10.0 * t) * math.exp(-t), lambda: mpmath.mpf(10) / 101, 1e-9),
+], ids=["t^91 e^-t at 1e-4", "t^91 e^-t at 1e-3", "sin(10 t) e^-t at 1e-6",
+        "sin(10 t) e^-t at 1e-9"])
+def test_integrate_1d_bound_holds_on_hard_semi_infinite_integrands(f, truth, tolerance):
+    # nested Gauss-Legendre halves missed the first two by 6.12 times their bound
+    # and the third by 1.2 times; the Kronrod rule reads 2.0e-5, 3.6e-6, 0.083
+    # and 1.8e-4 of it
+    res = integrate_1d(f, Interval(0.0, math.inf), QuadratureSpec(tolerance))
+    with mpmath.workdps(50):
+        assert abs(mpmath.mpf(res.value) - truth()) <= res.error_bound
 
 
 @_search(1000)

@@ -20,6 +20,6 @@ def test_one_row_on_one_tree(tmp_path):
         # INTERPRETERS interpreters per side and pass, ROUNDS rounds each
         assert len(result["us"][side]) == layer_timing.INTERPRETERS * layer_timing.ROUNDS
         assert all(us > 0 for us in result["us"][side])
-    assert result["evals"] == {"parent": 96, "change": 96}
+    assert result["evals"] == {"parent": 62, "change": 62}
     [line] = layer_timing.report([result])
-    assert line.startswith(f"{ROW}: parent ") and ", evals 96 / 96, ratio " in line
+    assert line.startswith(f"{ROW}: parent ") and ", evals 62 / 62, ratio " in line

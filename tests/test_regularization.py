@@ -176,7 +176,7 @@ def test_abel_plana_below_two_pi_is_the_unscaled_integrand_bit_for_bit():
             assert got.value.hex() == want.value.hex(), (p, tol)
             assert got.error_bound.hex() == want.error_bound.hex(), (p, tol)
             assert got.terms_used == want.terms_used, (p, tol)
-    assert abel_plana_regularized_power_sum(3).terms_used == 96
+    assert abel_plana_regularized_power_sum(3).terms_used == 62
 
 
 def test_abel_plana_rejects_nonpositive_exponent():

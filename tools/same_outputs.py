@@ -38,8 +38,10 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
   [xi0 -+ L/2] x [-a/2, a/2]^2 at seeded apparatus, and on four integrals
   below the normal range (1e-310 (x + 0.3) on [0, 1], 3e-320 x^2 on
   [0.1, 1], 1e-310 (x + 2 y + 0.3) on [0, 1] x [0, 1/2], 1e-310 x y z on
-  [0.1, 1]^3), whose bound is the gradual-underflow term; an input the
-  producer refuses records the error's type and message.
+  [0.1, 1]^3), whose bound is the gradual-underflow term, and
+  ``integrate_1d`` on two integrands on [0, inf) that are hard for the rule,
+  t^91 e^-t at 1e-4 and 1e-3 and sin(10 t) e^-t at 1e-6 and 1e-9; an input
+  the producer refuses records the error's type and message.
 
 Every difference is printed with its relative size, and the exit status is
 1 on any difference, 0 otherwise. Both trees take about 8 s together on a
@@ -309,7 +311,7 @@ def library_records() -> dict:
         for spec in specs[::3]:
             records[f"integrate_nd({name}, [-1, 1]^{dim}, {spec!r})"] = attempt(
                 integrate_nd, f, [Interval(-1.0, 1.0)] * dim, spec)
-    # mirror panels that tie on error with values a bit apart: the tie rule shows
+    # quadrant panels that tie on error
     tie = QuadratureSpec(1e-6)
     records[f"integrate_nd(1 / (1e-3 + x^2 + y^2), [-1, 1]^2, {tie!r})"] = attempt(
         integrate_nd, lambda x, y: 1.0 / (1e-3 + x * x + y * y), [Interval(-1.0, 1.0)] * 2, tie)
@@ -342,6 +344,15 @@ def library_records() -> dict:
     )
     for name, f in semi_infinite:
         for spec in specs[::3]:
+            records[f"integrate_1d({name}, [0, inf), {spec!r})"] = attempt(
+                integrate_1d, f, Interval(0.0), spec)
+    # a peak far from unit scale, and oscillation: where a change of rule shows
+    hard = (
+        ("t^91 e^-t", lambda t: t ** 91 * math.exp(-t) if t < 700.0 else 0.0, (1e-4, 1e-3)),
+        ("sin(10 t) e^-t", lambda t: math.sin(10.0 * t) * math.exp(-t), (1e-6, 1e-9)),
+    )
+    for name, f, tolerances in hard:
+        for spec in map(QuadratureSpec, tolerances):
             records[f"integrate_1d({name}, [0, inf), {spec!r})"] = attempt(
                 integrate_1d, f, Interval(0.0), spec)
     records["integrate_1d(|x - 1/3|^-1/2, [0, 1])"] = attempt(
