@@ -15,11 +15,21 @@ for the rounding of the sums, which |Kronrod - Gauss| does not see, and an
 absolute term for gradual underflow, which no relative term sees once the
 integral is subnormal.
 
-All functions are pure. The only state is two bounded caches of constants:
-the tensor weights of a slab (every axis but the first) of a 2- and of a
-3-axis box, and the nodes of the most recently used axes, keyed on their
-ends, which a call computes to the same doubles whether or not they are
-cached. So every entry point is safe to call concurrently (integrands
+The loop is split in two. The refinement yields its state (value, error,
+integral of |f|, underflow term, evaluations) before each split, and stops
+after the first state that every tolerance accepts or after the last split
+allowed; it does not depend on the tolerance. The acceptance step returns
+the first state that the caller's tolerance accepts. So a caller that keeps
+an integrand's states, as Abel-Plana does for each exponent, answers any
+tolerance with the bits that a run of its own would give.
+
+All functions are pure. The only state here is two bounded caches of
+constants: the tensor weights of a slab (every axis but the first) of a 2-
+and of a 3-axis box, and the nodes of the most recently used axes, keyed on
+their ends, which a call computes to the same doubles whether or not they
+are cached. The library's one other state is ``regularization``'s memo of
+the Abel-Plana states, at most 41 immutable states for each of 75
+exponents. So every entry point is safe to call concurrently (integrands
 supplied by callers must be reentrant themselves).
 """
 
@@ -30,7 +40,7 @@ import sys
 from functools import lru_cache
 from itertools import count, product, repeat, starmap
 from operator import itemgetter, mul
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (ConvergenceError, DivergentSeriesError, DomainError, FrozenValue,
                      check_finite, check_integer)
@@ -254,9 +264,16 @@ def _panel(f, box) -> tuple:
     return abs(kronrod - gauss), kronrod, gross, box, scale
 
 
-def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
-    """Adaptive tensor Gauss-Kronrod quadrature of ``f`` over ``boxes``, all
-    with the same number of axes; see the module docstring."""
+def _refinements(f, boxes: Sequence[tuple]) -> Iterator[tuple[float, float, float, float, int]]:
+    """The states of the adaptive tensor Gauss-Kronrod quadrature of ``f``
+    over ``boxes``, all with the same number of axes; see the module
+    docstring.
+
+    Each state ``(total, err, gross, underflow, evals)`` comes before a
+    split. The last is the first that every tolerance accepts, or the one
+    after ``_MAX_SPLITS`` splits. A consumer that stops early makes no
+    further evaluation.
+    """
     dim = len(boxes[0])
     points = _POINTS ** dim
     panels = [_panel(f, box) for box in boxes]
@@ -278,23 +295,46 @@ def _adaptive(f, boxes: Sequence[tuple], spec: QuadratureSpec) -> SeriesResult:
         # slab's product by its first-axis weight fits in the first part:
         # the weights of a box sum to 2^d, far below its 31^d evaluations.
         underflow = _TINY * evals * (half_volume + 1.0 / points) if gross else 0.0
-        # The second and third acceptance branches stop refinement once the
-        # estimated error sits at the rounding noise of the accumulated
-        # quadrature sums; below that level the relative target is unattainable.
-        if err <= max(spec.relative_tolerance * abs(total), 64.0 * _EPS * gross, underflow):
-            return SeriesResult(total, err + 32.0 * _EPS * gross + underflow, evals)
-        if splits >= _MAX_SPLITS:
-            raise ConvergenceError(
-                f"quadrature did not reach relative tolerance "
-                f"{spec.relative_tolerance:g} within {_MAX_SPLITS} "
-                f"subdivisions (estimated error {err:.3e} on value {total:.6e})"
-            )
+        yield total, err, gross, underflow, evals
+        if err <= max(64.0 * _EPS * gross, underflow) or splits >= _MAX_SPLITS:
+            return
         worst = max(panels, key=itemgetter(0))  # the oldest of equal errors
         panels.remove(worst)
         bisected = [((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi)) for lo, hi in worst[3]]
         panels.extend([_panel(f, half) for half in product(*bisected)])
         evals += 2 ** dim * points
         splits += 1
+
+
+def _accepted(states: Iterable[tuple], spec: QuadratureSpec) -> SeriesResult:
+    """The first of ``states`` (see :func:`_refinements`) that ``spec``
+    accepts, as a :class:`SeriesResult`."""
+    for total, err, gross, underflow, evals in states:
+        # The second and third acceptance branches stop refinement once the
+        # estimated error sits at the rounding noise of the accumulated
+        # quadrature sums; below that level the relative target is unattainable.
+        if err <= max(spec.relative_tolerance * abs(total), 64.0 * _EPS * gross, underflow):
+            return SeriesResult(total, err + 32.0 * _EPS * gross + underflow, evals)
+    raise ConvergenceError(
+        f"quadrature did not reach relative tolerance "
+        f"{spec.relative_tolerance:g} within {_MAX_SPLITS} "
+        f"subdivisions (estimated error {err:.3e} on value {total:.6e})"
+    )
+
+
+def _states_1d(f: Callable[[float], float], iv: Interval) -> Iterator[tuple]:
+    """The refinement states of ``f`` over ``iv``, a semi-infinite one
+    mapped onto ``u in [0, 1)``; see :func:`integrate_1d`."""
+    if not iv.is_semi_infinite:
+        return _refinements(f, [((float(iv.lo), float(iv.hi)),)])
+
+    lo = iv.lo
+
+    def mapped(u: float) -> float:
+        den = 1.0 - u
+        return f(lo + u / den) / (den * den)
+
+    return _refinements(mapped, _SEMI_INFINITE_PANELS)
 
 
 def integrate_1d(
@@ -332,16 +372,7 @@ def integrate_1d(
       DomainError: if ``f`` produces NaN/Inf at a quadrature node.
       ConvergenceError: if the subdivision budget is exhausted.
     """
-    if not iv.is_semi_infinite:
-        return _adaptive(f, [((float(iv.lo), float(iv.hi)),)], spec)
-
-    lo = iv.lo
-
-    def mapped(u: float) -> float:
-        den = 1.0 - u
-        return f(lo + u / den) / (den * den)
-
-    return _adaptive(mapped, _SEMI_INFINITE_PANELS, spec)
+    return _accepted(_states_1d(f, iv), spec)
 
 
 def integrate_nd(
@@ -368,7 +399,8 @@ def integrate_nd(
         if iv.is_semi_infinite:
             raise DomainError("integrate_nd requires finite intervals on every axis")
     # as doubles, so that no node or bisection adds two int ends exactly
-    return _adaptive(f, [tuple([(float(iv.lo), float(iv.hi)) for iv in ivs])], spec)
+    return _accepted(
+        _refinements(f, [tuple([(float(iv.lo), float(iv.hi)) for iv in ivs])]), spec)
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import lru_cache
 from itertools import count, repeat
 
 from .cavity import check_geometry
@@ -24,10 +25,13 @@ from .numerics import (
     Interval,
     QuadratureSpec,
     SeriesResult,
-    integrate_1d,
+    _accepted,
+    _states_1d,
     relative_discrepancy,
     tail_bounded_power_sum,
 )
+# unused here, but bench/tracing.py wraps it on this module and fails without it
+from .numerics import integrate_1d
 
 __all__ = [
     "SchemeKind",
@@ -40,11 +44,12 @@ __all__ = [
 ]
 
 # Euler-Maclaurin parameters for riemann_zeta: partial sum length and the
-# even Bernoulli numbers B2, B4, B6 of the correction terms. Truncation after
-# B6 at N = 50 is below 2e-17 relative on all of (1, 54); rounding sets the
-# error (see riemann_zeta).
+# coefficients B_2k / (2k)! of its correction terms, from the even Bernoulli
+# numbers B2, B4, B6. Truncation after B6 at N = 50 is below 2e-17 relative
+# on all of (1, 54); rounding sets the error (see riemann_zeta).
 _ZETA_TERMS = 50
-_BERNOULLI_EVEN = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0)
+_BERNOULLI_COEFFICIENTS = tuple(b2k / math.factorial(2 * k) for k, b2k in
+                                enumerate((1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0), start=1))
 
 DEFAULT_IMAGE_TERMS = 10_000
 MAX_IMAGE_TERMS = 10**6  # its tail bound 1/(3 N^3) is below 1/600 ulp of zeta(4)
@@ -81,10 +86,13 @@ def riemann_zeta(s: float) -> float:
     total = math.fsum(map(math.pow, count(1.0), repeat(-s, n)))
     total += n ** (1.0 - s) / (s - 1.0) - 0.5 * n ** -s
     pochhammer = s
-    for k, b2k in enumerate(_BERNOULLI_EVEN, start=1):
-        total += b2k / math.factorial(2 * k) * pochhammer * n ** (-s - 2 * k + 1)
+    for k, c in enumerate(_BERNOULLI_COEFFICIENTS, start=1):
+        total += c * pochhammer * n ** (-s - 2 * k + 1)
         pochhammer *= (s + 2 * k - 1) * (s + 2 * k)
     return total
+
+
+_ZETA_4 = riemann_zeta(4.0)  # the zeta route of compare_schemes
 
 
 def energy_density_image_sum(L: float, n_terms: int = DEFAULT_IMAGE_TERMS) -> SeriesResult:
@@ -113,6 +121,14 @@ def abel_plana_regularized_power_sum(
     Even p gives exactly zero; the sine is resolved from p mod 4 so no
     floating-point cancellation enters; that exact zero counts as one term.
     At most MAX_ABEL_PLANA_EXPONENT, past which t^p overflows.
+
+    The integral does not depend on ``quad``: the adaptive run is the same
+    for every tolerance, which only decides where it stops. So each odd
+    exponent's run is computed once per process, on its first call, down to
+    the state that every tolerance accepts, and a call returns the first
+    state that ``quad`` accepts, the same bits that a run of its own would
+    give. ``terms_used`` counts the evaluations behind that estimate, not
+    the work of this call, which is none once the exponent has been seen.
     """
     p = check_integer(p, "exponent")
     if not 1 <= p <= MAX_ABEL_PLANA_EXPONENT:
@@ -121,6 +137,13 @@ def abel_plana_regularized_power_sum(
     if p % 2 == 0:
         return SeriesResult(0.0, 0.0, 1)
     sign = 1.0 if p % 4 == 1 else -1.0
+    return _accepted(_branch_cut_states(p), quad).scaled(-2.0 * sign)
+
+
+@lru_cache(maxsize=None)  # at most 75 odd exponents, each of at most 41 states
+def _branch_cut_states(p: int) -> tuple[tuple, ...]:
+    """The adaptive quadrature states of int_0^inf t^p / (e^{2 pi t} - 1) dt
+    for an odd ``p`` in [1, MAX_ABEL_PLANA_EXPONENT]; see numerics._refinements."""
     two_pi, expm1 = 2.0 * math.pi, math.expm1
     scale = max(1.0, p / two_pi)  # integrated in t / scale, so the peak t ~ p / (2 pi) is ~1
 
@@ -131,8 +154,7 @@ def abel_plana_regularized_power_sum(
             return 0.0
         return t ** p / expm1(w) * scale  # divided first: t^p alone nears the largest double
 
-    integral = integrate_1d(branch_cut, Interval(0.0, math.inf), quad)
-    return integral.scaled(-2.0 * sign)
+    return tuple(_states_1d(branch_cut, Interval(0.0, math.inf)))
 
 
 def energy_per_area_abel_plana(
@@ -168,6 +190,11 @@ def compare_schemes(
     Returns every value plus the maximum pairwise discrepancy relative to
     the largest magnitude among the three. Package errors propagate annotated
     with the scheme that produced them, any other exception unchanged.
+
+    Only the image sum is computed per call. The Abel-Plana integral and
+    zeta(4) do not depend on L: the integral's refinement is computed once
+    per process (see :func:`abel_plana_regularized_power_sum`), zeta(4) at
+    import. Each ``terms_used`` counts the work behind its estimate.
     """
     check_geometry(L)
     routes = {
@@ -175,7 +202,7 @@ def compare_schemes(
         SchemeKind.IMAGE_SUM: lambda: energy_density_image_sum(L, n_terms).scaled(L),
         SchemeKind.ABEL_PLANA: lambda: energy_per_area_abel_plana(L, quad),
         SchemeKind.ZETA_CLOSED_FORM: lambda: SeriesResult(
-            -riemann_zeta(4.0) / (16.0 * math.pi ** 2 * L ** 3), 0.0, _ZETA_TERMS),
+            -_ZETA_4 / (16.0 * math.pi ** 2 * L ** 3), 0.0, _ZETA_TERMS),
     }
     results: dict[SchemeKind, SeriesResult] = {}
     for kind in SchemeKind:

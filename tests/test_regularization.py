@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import mpmath
 import numpy as np
@@ -143,18 +145,61 @@ def _literal_abel_plana(p, quad):
     return integrate_1d(branch_cut, Interval(0.0, math.inf), quad).scaled(-2.0 * sign)
 
 
-def test_abel_plana_is_the_literal_integrand_bit_for_bit():
-    def record(res):
-        return res.value.hex(), res.error_bound.hex(), res.terms_used
+def _record(res):
+    return res.value.hex(), res.error_bound.hex(), res.terms_used
 
+
+# ROADMAP item 14's grid: every odd exponent at 46 log-spaced tolerances over [1e-12, 1e-2]
+_EXPONENTS = range(1, regularization.MAX_ABEL_PLANA_EXPONENT, 2)
+_TOLERANCES = [10.0 ** (-12 + 10 * k / 45) for k in range(46)]
+
+
+def test_abel_plana_is_the_literal_integrand_bit_for_bit():
+    want = {(p, tol): _record(_literal_abel_plana(p, QuadratureSpec(tol)))
+            for p in _EXPONENTS for tol in _TOLERANCES}
+    # each exponent's states are kept after its first call, so ask the grid
+    # loose-to-tight and tight-to-loose, each on a cleared memo
+    for order in (_TOLERANCES[::-1], _TOLERANCES):
+        regularization._branch_cut_states.cache_clear()
+        for tol in order:
+            quad = QuadratureSpec(tol)
+            for p in _EXPONENTS:
+                assert _record(abel_plana_regularized_power_sum(p, quad)) == want[p, tol], (p, tol)
     for tol in (1e-12, 1e-9, 1e-6, 1e-3):
         quad = QuadratureSpec(tol)
-        for p in range(1, regularization.MAX_ABEL_PLANA_EXPONENT, 2):
-            got = abel_plana_regularized_power_sum(p, quad)
-            assert record(got) == record(_literal_abel_plana(p, quad)), (p, tol)
         for L in (1e-70, 1e-8, 1.0, 3.7, 1e8, 1e70):
-            want = _literal_abel_plana(3, quad).scaled(-(math.pi ** 2) / (12.0 * L ** 3))
-            assert record(energy_per_area_abel_plana(L, quad)) == record(want), (L, tol)
+            want_L = _literal_abel_plana(3, quad).scaled(-(math.pi ** 2) / (12.0 * L ** 3))
+            assert _record(energy_per_area_abel_plana(L, quad)) == _record(want_L), (L, tol)
+
+
+def test_abel_plana_memo_filled_by_threads_gives_the_cold_records():
+    grid = [(p, tol) for tol in (1e-12, 1e-9, 1e-6, 1e-3, 1e-2) for p in _EXPONENTS]
+    want = [_record(_literal_abel_plana(p, QuadratureSpec(tol))) for p, tol in grid]
+    records = [None] * 8
+    start = threading.Barrier(len(records))
+
+    def work(i):
+        start.wait(timeout=60)
+        # half the threads ask tight-to-loose, so threads miss on different exponents
+        order = grid if i % 2 else grid[::-1]
+        got = {(p, tol): _record(abel_plana_regularized_power_sum(p, QuadratureSpec(tol)))
+               for p, tol in order}
+        records[i] = [got[key] for key in grid]
+
+    regularization._branch_cut_states.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(records))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        regularization._branch_cut_states.cache_clear()
+    assert records == [want] * len(records)
 
 
 def test_abel_plana_below_two_pi_is_the_unscaled_integrand_bit_for_bit():
@@ -265,12 +310,17 @@ def test_compare_schemes_halving_separation():
 
 
 def test_scheme_failure_carries_identity(monkeypatch):
-    def exhausted(f, iv, spec):
+    def exhausted(f, iv):
         raise ConvergenceError("quadrature did not reach relative tolerance")
 
-    monkeypatch.setattr(regularization, "integrate_1d", exhausted)
-    with pytest.raises(ConvergenceError, match="abel-plana"):
-        compare_schemes(1.0)
+    # the memo runs the quadrature only for an exponent it does not hold
+    monkeypatch.setattr(regularization, "_states_1d", exhausted)
+    regularization._branch_cut_states.cache_clear()
+    try:
+        with pytest.raises(ConvergenceError, match="abel-plana"):
+            compare_schemes(1.0)
+    finally:
+        regularization._branch_cut_states.cache_clear()
 
 
 class _TwoArgumentError(Exception):

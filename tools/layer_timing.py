@@ -26,7 +26,13 @@ The rows, with the inputs each call gets:
 - the numerics kernels: ``integrate_1d`` on a finite interval that splits
   and on [0, inf), ``integrate_nd`` on the unit square and cube,
   ``tail_bounded_power_sum`` at N = 10^4 and ``riemann_zeta(5.0)``;
-- the three regulators and ``compare_schemes(1.0)``;
+- the Abel-Plana p = 3 branch-cut integral t^3 / (e^{2 pi t} - 1) on
+  [0, inf) through ``integrate_1d``, the cold quadrature behind the
+  Abel-Plana rows;
+- the three regulators and ``compare_schemes(1.0)``. The library keeps each
+  Abel-Plana exponent's refinement after its first call, so the
+  ``abel_plana_regularized_power_sum(3)`` and ``compare_schemes(1.0)`` rows
+  time a warm memo: the unmeasured first round fills it;
 - ``figure_series`` for figures 1-6 at 2 000 points;
 - value construction: the six value objects of a quadrature op;
 - cold ``import casimirgrav.cli`` with and without bytecode caches; the
@@ -95,6 +101,17 @@ def _volume_op(cg, rng):
     return lambda: cg.integrate_nd(lambda xi, eta, chi: k * (xi * ca + eta * sa), box)
 
 
+def _branch_cut_3(cg):
+    two_pi, expm1 = 2.0 * math.pi, math.expm1
+
+    def branch_cut(t):
+        w = two_pi * t
+        return 0.0 if w > 700.0 else t ** 3 / expm1(w)
+
+    iv = cg.Interval(0.0)
+    return lambda: cg.integrate_1d(branch_cut, iv)
+
+
 def _fixed(make):
     """A row whose calls all take the same inputs: ``make(cg)`` gives the call."""
     return lambda cg, rng: make(cg)
@@ -142,6 +159,7 @@ ROWS = {
         lambda x: 1.0 / (1.0 + 100.0 * x * x), cg.Interval(-1.0, 1.0)))),
     "integrate_1d t^2 e^-t on [0, inf)": (20, _fixed(lambda cg: lambda: cg.integrate_1d(
         lambda t: t * t * math.exp(-t), cg.Interval(0.0)))),
+    "integrate_1d t^3 / (e^(2 pi t) - 1) on [0, inf)": (200, _fixed(_branch_cut_3)),
     "integrate_nd x y + 1 on [0, 1]^2": (40, _fixed(lambda cg: lambda: cg.integrate_nd(
         lambda x, y: x * y + 1.0, [cg.Interval(0.0, 1.0)] * 2))),
     "integrate_nd x y z + 1 on [0, 1]^3": (4, _fixed(lambda cg: lambda: cg.integrate_nd(

@@ -27,11 +27,14 @@ Each tree's ``src/casimirgrav`` runs one fixed list in a fresh interpreter:
 - ``SeriesResult`` records by ``float.hex`` for every producer: the tail
   sum over p in [1.0001, 12] and N in {1, 2, 9741, 9742, 10^4, 10^5, 10^6},
   the image sum over the same N, ``riemann_zeta`` over s in (1, 54], the
-  Abel-Plana regulators, seeded ``compare_schemes`` and energy-shift draws
-  over tolerances 1e-12 to 1e-3 (each draw also at alpha = 0 and at the
-  default tolerance), energy shifts at plate offsets of 1e10 to 1e20, at
-  alpha = 1e-310 (a subnormal transverse integral) and at xi0 = 0 with
-  alpha = +-pi/2 (the transverse integral carries the whole result),
+  Abel-Plana regulators (every odd exponent over tolerances 1e-12 to 1e-3,
+  in descending and then in ascending order, since the library keeps each
+  exponent's refinement from call to call), seeded ``compare_schemes`` and
+  energy-shift draws over tolerances 1e-12 to 1e-3 (each draw also at
+  alpha = 0 and at the default tolerance), energy shifts at plate offsets
+  of 1e10 to 1e20, at alpha = 1e-310 (a subnormal transverse integral) and
+  at xi0 = 0 with alpha = +-pi/2 (the transverse integral carries the
+  whole result),
   ``integrate_1d`` / ``integrate_nd`` on symmetric integrands that split,
   one of them through mirror panels that tie on error, ``integrate_nd`` on
   the benchmark's volume integrand k (xi cos(alpha) + eta sin(alpha)) over
@@ -269,6 +272,13 @@ def library_records() -> dict:
         add("riemann_zeta", riemann_zeta, s)
 
     specs = [QuadratureSpec(tol) for tol in TOLERANCES]
+    # every odd exponent, over the tolerances loose to tight and then tight to
+    # loose in this one interpreter, which keeps each exponent's refinement
+    for order, sweep in (("descending", specs[::-1]), ("ascending", specs)):
+        for spec in sweep:
+            for p in range(1, 150, 2):
+                add(f"abel_plana_regularized_power_sum[{order}]",
+                    abel_plana_regularized_power_sum, p, spec)
     for p in (*range(1, 10), 149, 150, 0, 151):
         add("abel_plana_regularized_power_sum", abel_plana_regularized_power_sum, p)
     for L in (1e-3, 1.0, 1e3):
