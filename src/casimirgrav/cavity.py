@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import FrozenValue, GeometryError, check_integer
+from .errors import _DOUBLE_MAX, FrozenValue, GeometryError, check_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,12 +40,13 @@ def check_geometry(L: float, polarizations: int = 1, a: float | None = None) -> 
     The one validator of plate geometry in the package. ``polarizations``
     must be an integer (a numpy integer is returned as ``int``), else
     :class:`DomainError`. Then, else :class:`GeometryError`: the plate side
-    ``a`` of an apparatus must satisfy 0 < a < inf, the separation ``L``
+    ``a`` of an apparatus must satisfy 0 < a <= the largest double (an
+    int past it fails too), the separation ``L``
     must lie in [L_MIN, L_MAX] (NaN fails both), and ``polarizations``
     must be 1 (scalar) or 2 (EM).
     """
     polarizations = check_integer(polarizations, "polarizations")
-    if a is not None and not 0.0 < a < math.inf:
+    if a is not None and not 0.0 < a <= _DOUBLE_MAX:
         raise GeometryError(f"plate side must be positive and finite, got {a}")
     if not L_MIN <= L <= L_MAX:
         raise GeometryError(f"plate separation must lie in [{L_MIN:g}, {L_MAX:g}], got {L}")
@@ -94,7 +95,7 @@ class SpacetimePoint(FrozenValue):
     def __init__(self, t: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0) -> None:
         super().__init__(t, x, y, z)
         # checked after the fields are set, so the message can show the point
-        if not all(map(math.isfinite, (t, x, y, z))):
+        if not all(abs(c) <= _DOUBLE_MAX for c in (t, x, y, z)):
             raise GeometryError(f"spacetime coordinates must be finite, got {self}")
 
 

@@ -2,7 +2,6 @@
 exponents, the range checks on results, and :class:`FrozenValue`, the base of
 every value type in the package."""
 
-import math
 import operator
 import sys
 
@@ -52,10 +51,16 @@ def check_integer(value, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
+# the largest double: a check that compares against it refuses an int past the
+# double range as it refuses an inf, where math.isfinite raises OverflowError
+_DOUBLE_MAX = sys.float_info.max
+
+
 def check_finite(value: float, what: str) -> float:
     """``value`` if it is finite, else :class:`DomainError`: the inputs took
-    ``what`` outside the double range (an inf, or the NaN of inf - inf or inf * 0)."""
-    if not math.isfinite(value):
+    ``what`` outside the double range (an inf, the NaN of inf - inf or inf * 0,
+    or an int that no double holds)."""
+    if not abs(value) <= _DOUBLE_MAX:
         raise DomainError(f"{what} overflows the double range for these inputs")
     return value
 

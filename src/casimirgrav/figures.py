@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING
 from .cavity import _energy_density, _energy_per_area, _pressure, check_geometry
 # unused here, but bench/tracing.py wraps them on this module and fails without them
 from .cavity import CavityConfig, energy_density, energy_per_area, pressure
-from .errors import DomainError, FrozenValue, check_finite, check_integer, check_normal
+from .errors import (_DOUBLE_MAX, DomainError, FrozenValue, check_finite, check_integer,
+                     check_normal)
 from .weakfield import WeakField
 
 if TYPE_CHECKING:
@@ -68,7 +69,7 @@ class FigureSpec(FrozenValue):
             raise DomainError("A_list and L_list must each hold at least one value")
         for L in (L_min, L_max) + L_list:
             polarizations = check_geometry(L, polarizations)
-        if not all(0.0 < A < math.inf for A in (A_min, A_max) + A_list):
+        if not all(0.0 < A <= _DOUBLE_MAX for A in (A_min, A_max) + A_list):
             raise DomainError("areas must be positive and finite")
         g = WeakField(g).g  # GeometryError unless finite, >= 0
         for name, values in (("A_list", A_list), ("L_list", L_list)):

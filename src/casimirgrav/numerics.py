@@ -42,8 +42,8 @@ from itertools import count, product, repeat, starmap
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import (ConvergenceError, DivergentSeriesError, DomainError, FrozenValue,
-                     check_finite, check_integer)
+from .errors import (_DOUBLE_MAX, ConvergenceError, DivergentSeriesError, DomainError,
+                     FrozenValue, check_finite, check_integer)
 
 __all__ = [
     "Interval",
@@ -99,7 +99,7 @@ class Interval(FrozenValue):
     def __init__(self, lo: float, hi: float = math.inf) -> None:
         # compared exactly, and before the ends are formatted or passed to
         # math.isinf, which raises on an int past the double range
-        if sys.float_info.max < abs(lo) < math.inf or sys.float_info.max < abs(hi) < math.inf:
+        if _DOUBLE_MAX < abs(lo) < math.inf or _DOUBLE_MAX < abs(hi) < math.inf:
             raise DomainError("interval ends must lie in the double range")
         if not lo < hi:
             raise DomainError(f"interval requires lo < hi, got [{lo}, {hi}]")
@@ -408,13 +408,16 @@ def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
 
     The caller owns the step ``h > 0``, which balances truncation, of order
     h^2, against rounding, of order eps / h. Raises :class:`DomainError` on a
-    step that is not positive and on NaN/Inf from ``f``.
+    step that is not positive, on an ``x`` or ``h`` that is an int past the
+    double range, and on NaN/Inf from ``f``.
     """
     if not h > 0:
         raise DomainError(f"step must be positive, got {h}")
+    if _DOUBLE_MAX < max(abs(x), h) < math.inf:  # no float lies strictly between
+        raise DomainError("x and h must lie in the double range")
     fp = f(x + h)
     fm = f(x - h)
-    if not (math.isfinite(fp) and math.isfinite(fm)):
+    if not (abs(fp) <= _DOUBLE_MAX and abs(fm) <= _DOUBLE_MAX):
         raise DomainError(f"function not finite at {x} +/- {h}")
     return (fp - fm) / (2.0 * h)
 
@@ -422,9 +425,11 @@ def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
 def tail_bounded_power_sum(p: float, scale: float, n_terms: int) -> SeriesResult:
     """Partial sum ``sum_{n=1}^{N} scale / n^p`` with an integral tail bound.
 
-    The terms are exactly the doubles ``n ** -p``: ``math.pow`` over a float
-    counter (exact up to 2^53) ends in the same C library ``pow``, with no
-    Python frame per term, and ``math.fsum`` rounds their sum correctly.
+    The terms are exactly the doubles ``n ** -p``: ``math.pow`` over a
+    counter that steps by the float 1.0, exact up to 2^53, ends in the same
+    C library ``pow``, with no Python frame per term and one float addition
+    per step (an int step would add a float and an int), and ``math.fsum``
+    rounds their sum correctly.
     The bound ``|scale| / ((p-1) N^{p-1})`` dominates the omitted tail by
     the integral comparison test, so ``error_bound`` is rigorous for the
     limit ``scale * zeta(p)``. ``n_terms`` must be an integer, and a NaN
@@ -442,7 +447,7 @@ def tail_bounded_power_sum(p: float, scale: float, n_terms: int) -> SeriesResult
     except OverflowError:
         raise DomainError(f"n_terms^(p - 1) in the tail bound overflows the double range "
                           f"for p = {p}, n_terms = {n_terms}") from None
-    value = scale * math.fsum(map(math.pow, count(1.0), repeat(-p, n_terms)))
+    value = scale * math.fsum(map(math.pow, count(1.0, 1.0), repeat(-p, n_terms)))
     return SeriesResult(value, bound, n_terms)
 
 

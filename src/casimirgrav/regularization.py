@@ -20,7 +20,8 @@ from functools import lru_cache
 from itertools import count, repeat
 
 from .cavity import check_geometry
-from .errors import CasimirError, DivergentSeriesError, DomainError, FrozenValue, check_integer
+from .errors import (_DOUBLE_MAX, CasimirError, DivergentSeriesError, DomainError, FrozenValue,
+                     check_integer)
 from .numerics import (
     Interval,
     QuadratureSpec,
@@ -68,22 +69,25 @@ def riemann_zeta(s: float) -> float:
     """zeta(s) for real s > 1 by Euler-Maclaurin summation.
 
     Partial sum of N = 50 terms plus N^{1-s}/(s-1) - N^{-s}/2 and Bernoulli
-    corrections through B6. Relative error at most 4.3 u (u = 2^-53) over
-    24 000 seeded draws of s - 1 log-uniform in [1e-12, 53], next to s = 1
-    too, where zeta(s) ~ 1/(s - 1) reaches 4.5e15; a test holds it to 8 u.
+    corrections through B6. The terms are ``math.pow`` over a counter that
+    steps by the float 1.0, exact up to 2^53, so each step costs one float
+    addition and each term is the double ``n ** -s``. Relative error at
+    most 4.3 u (u = 2^-53) over 24 000 seeded draws of s - 1 log-uniform in
+    [1e-12, 53], next to s = 1 too, where zeta(s) ~ 1/(s - 1) reaches
+    4.5e15; a test holds it to 8 u.
     From s = 54 on, zeta(s) - 1 <= 2^-s (1 + 2/(s-1)) is below half an ulp
     of 1, so the value is 1.0 (the Bernoulli terms would reach inf * 0).
-    An s <= 1 raises :class:`DivergentSeriesError`, a NaN or infinite s
-    :class:`DomainError`.
+    An s <= 1 raises :class:`DivergentSeriesError`; a NaN or infinite s, or
+    an int past the double range, :class:`DomainError`.
     """
     if s <= 1:
         raise DivergentSeriesError(f"zeta partial sums diverge for s = {s} <= 1")
-    if not math.isfinite(s):
+    if not s <= _DOUBLE_MAX:  # inf, NaN or an int past the double range
         raise DomainError(f"zeta needs a finite s, got {s}")
     if s >= 54.0:
         return 1.0
     n = _ZETA_TERMS
-    total = math.fsum(map(math.pow, count(1.0), repeat(-s, n)))
+    total = math.fsum(map(math.pow, count(1.0, 1.0), repeat(-s, n)))
     total += n ** (1.0 - s) / (s - 1.0) - 0.5 * n ** -s
     pochhammer = s
     for k, c in enumerate(_BERNOULLI_COEFFICIENTS, start=1):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import check_normal
+from .errors import _DOUBLE_MAX, DomainError, check_normal
 
 __all__ = ["HBAR", "C_LIGHT", "energy_like_to_si", "gravity_to_natural"]
 
@@ -32,6 +32,8 @@ _RESCALE = 128
 
 def energy_like_to_si(value_natural: float) -> float:
     """Any (1/length)^k quantity times hbar*c, in joules and meters."""
+    if _DOUBLE_MAX < abs(value_natural) < math.inf:  # an int that no double holds
+        raise DomainError("the natural value must lie in the double range")
     partial = value_natural * HBAR
     if abs(partial) < sys.float_info.min:
         # a subnormal value * hbar has lost digits; rescaling by a power of
@@ -44,4 +46,6 @@ def energy_like_to_si(value_natural: float) -> float:
 
 def gravity_to_natural(g_si: float) -> float:
     """An acceleration in m/s^2 as inverse length, g / c^2."""
+    if _DOUBLE_MAX < abs(g_si) < math.inf:  # an int that no double holds
+        raise DomainError("g must lie in the double range")
     return check_normal(g_si / C_LIGHT ** 2, "g in natural units", g_si)

@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, Callable
 
 from .cavity import (CavityConfig, SpacetimePoint, _energy_per_area, check_geometry,
                      energy_per_area, pressure)
-from .errors import FrozenValue, GeometryError, RegimeWarning, check_finite, check_normal
+from .errors import (_DOUBLE_MAX, FrozenValue, GeometryError, RegimeWarning, check_finite,
+                     check_normal)
 from .numerics import Interval, QuadratureSpec, SeriesResult, integrate_nd
 
 if TYPE_CHECKING:
@@ -65,7 +66,7 @@ class PlateApparatus(FrozenValue):
     def __init__(self, a: float, L: float, xi0: float = 0.0, alpha: float = 0.0,
                  polarizations: int = 2) -> None:
         polarizations = check_geometry(L, polarizations, a)
-        if not (math.isfinite(xi0) and math.isfinite(alpha)):
+        if not (abs(xi0) <= _DOUBLE_MAX and abs(alpha) <= _DOUBLE_MAX):
             raise GeometryError(f"xi0 and alpha must be finite, got {xi0}, {alpha}")
         if a < 10.0 * L:
             warnings.warn(
@@ -90,7 +91,7 @@ class WeakField(FrozenValue):
     __slots__ = ("g",)
 
     def __init__(self, g: float = 0.0) -> None:
-        if g < 0 or not math.isfinite(g):
+        if not 0 <= g <= _DOUBLE_MAX:
             raise GeometryError(f"field order parameter must be finite and >= 0, got {g}")
         super().__init__(g)
 

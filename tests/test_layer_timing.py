@@ -1,5 +1,6 @@
 """Smoke test of tools/layer_timing.py: one row, timed in fresh interpreters of
-the same tree on both sides, gives a full report line."""
+the same tree on both sides, gives a full report line, and every interpreter
+counts the same Python-level calls."""
 
 import sys
 from pathlib import Path
@@ -21,5 +22,10 @@ def test_one_row_on_one_tree(tmp_path):
         assert len(result["us"][side]) == layer_timing.INTERPRETERS * layer_timing.ROUNDS
         assert all(us > 0 for us in result["us"][side])
     assert result["evals"] == {"parent": 62, "change": 62}
+    # one count per interpreter, all equal: the tree is the same on both sides
+    counts = result["calls"]["parent"] + result["calls"]["change"]
+    assert len(counts) == 2 * layer_timing.INTERPRETERS
+    assert counts[0] > 0 and set(counts) == {counts[0]}
     [line] = layer_timing.report([result])
-    assert line.startswith(f"{ROW}: parent ") and ", evals 62 / 62, ratio " in line
+    assert line.startswith(f"{ROW}: parent ")
+    assert f", evals 62 / 62, calls {counts[0]} / {counts[0]}, ratio " in line

@@ -7,8 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from casimirgrav import numerics
-from casimirgrav.errors import ConvergenceError, DivergentSeriesError, DomainError
+from casimirgrav import numerics, units
+from casimirgrav.cavity import SpacetimePoint
+from casimirgrav.errors import ConvergenceError, DivergentSeriesError, DomainError, GeometryError
+from casimirgrav.figures import FigureSpec, figure_series
 from casimirgrav.numerics import (
     Interval,
     QuadratureSpec,
@@ -20,7 +22,8 @@ from casimirgrav.numerics import (
     tail_bounded_power_sum,
 )
 from casimirgrav.regularization import abel_plana_regularized_power_sum, riemann_zeta
-from casimirgrav.weakfield import PlateApparatus, WeakField, delta_energy_quadrature
+from casimirgrav.weakfield import (PlateApparatus, WeakField, delta_energy_closed,
+                                   delta_energy_quadrature)
 
 
 def test_integrate_polynomial_exact():
@@ -72,6 +75,39 @@ def test_interval_refuses_an_int_end_past_the_double_range(lo, hi):
     # formatting 10**5000 in a message raises ValueError
     with pytest.raises(DomainError, match="ends must lie in the double range"):
         Interval(lo, hi)
+
+
+# each takes ``big``, an int past the double range, as one input
+PAST_THE_DOUBLE_RANGE = {
+    "WeakField": (GeometryError, WeakField),
+    "PlateApparatus a": (GeometryError, lambda big: PlateApparatus(big, 0.1)),
+    "PlateApparatus xi0": (GeometryError, lambda big: PlateApparatus(1.0, 0.1, big)),
+    "PlateApparatus alpha": (GeometryError, lambda big: PlateApparatus(1.0, 0.1, 0.0, big)),
+    "SpacetimePoint z": (GeometryError, lambda big: SpacetimePoint(z=big)),
+    "SeriesResult": (DomainError, lambda big: SeriesResult(big, 0.0, 1)),
+    "riemann_zeta": (DomainError, riemann_zeta),
+    "central_diff x": (DomainError, lambda big: central_diff(math.sin, big, 1.0)),
+    "central_diff h": (DomainError, lambda big: central_diff(math.sin, 0.0, big)),
+    "FigureSpec g": (DomainError, lambda big: FigureSpec(1, g=big)),
+    "FigureSpec A_list": (DomainError, lambda big: FigureSpec(4, A_list=(big,))),
+    "FigureSpec A_max": (DomainError, lambda big: FigureSpec(5, A_max=big)),
+    "energy_like_to_si": (DomainError, units.energy_like_to_si),
+    "gravity_to_natural": (DomainError, units.gravity_to_natural),
+}
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400], ids=["10^400", "-10^400"])
+@pytest.mark.parametrize("call", PAST_THE_DOUBLE_RANGE)
+def test_an_int_past_the_double_range_gets_a_typed_error(call, big):
+    # math.isfinite, or the int's conversion to a float, raised an untyped
+    # OverflowError here, at once or later from the closed forms
+    error, make = PAST_THE_DOUBLE_RANGE[call]
+    with pytest.raises(error):
+        result = make(big)
+        if isinstance(result, PlateApparatus):
+            delta_energy_closed(result, WeakField(1e-3))
+        elif isinstance(result, FigureSpec):
+            figure_series(result)
 
 
 @pytest.mark.parametrize("dim, f, spec", [
@@ -682,10 +718,12 @@ def _zeta_from_a_generator(s):
 
 def test_tail_sum_is_the_fsum_of_the_same_terms():
     # the terms are exactly n ** -p, subnormal (p = 1024.5) and zero (p = inf)
-    # ones included, and fsum rounds their sum correctly
+    # ones included, and fsum rounds their sum correctly; the 64 image-sum
+    # lengths that the regulator-scan benchmark draws are pinned at p = 4
     scale = -1.0 / (16.0 * math.pi ** 2)
     cases = [(p, n) for p in (1.0001, math.pi, 4.0, 12.0)
              for n in (1, 2, 9741, 9742, 10**4, 10**5, 10**6)]
+    cases += [(4.0, round(10 ** (2 + 3 * (k + 0.5) / 64))) for k in range(64)]
     for p, n in cases + [(300.0, 2), (1024.5, 2), (math.inf, 2)]:
         want = scale * math.fsum(k ** -p for k in range(1, n + 1))
         assert tail_bounded_power_sum(p, scale, n).value.hex() == want.hex(), (p, n)

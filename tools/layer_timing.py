@@ -7,13 +7,26 @@ Each tree's ``src/casimirgrav`` is copied into a temporary directory, so the
 trees get no ``__pycache__`` from this tool. In ``PASSES`` passes over all
 rows, fresh interpreters of the two trees alternate on each row, the first
 side switching from one interpreter to the next. An interpreter builds the
-row's inputs, runs one round unmeasured, then times ``ROUNDS`` rounds of the
-row's calls with ``time.process_time``, the interpreter's own CPU; the two
-import rows time one ``import casimirgrav.cli`` per interpreter instead.
-Per side the tool prints the minimum and the median CPU per call over all
-rounds, the integrand evaluations per call (``terms_used``, summed over a
-call's results; "-" for a row with none) and the ratio of the change's
-minimum to the parent's.
+row's inputs, runs one round unmeasured to warm up, counts the Python-level
+calls of a second unmeasured round, then times ``ROUNDS`` rounds of the
+row's calls with ``time.process_time``, the interpreter's own CPU; each
+round gets new inputs. The two import rows time one ``import
+casimirgrav.cli`` per interpreter instead. Per side the tool prints the
+minimum and the median CPU per call over all rounds, the integrand
+evaluations per call (``terms_used``, summed over a call's results; "-" for
+a row with none), the calls of the counted round and the ratio of the
+change's minimum to the parent's.
+
+The calls are the "call" and "c_call" events that ``sys.setprofile`` sees:
+every Python function entered (a generator each time it resumes) and every
+builtin function or method called from Python code (calling a type such as
+``map`` is none). They repeat exactly from one interpreter to
+the next, so a change in them is a change of Python-level work; a row whose
+count differs between a side's interpreters prints its range. Work inside a
+C loop does not show: the 10^4 ``math.pow`` calls that ``math.fsum`` draws
+through ``map`` in the image sum are no events at all. So a row that gets
+faster with the same evaluations and calls spends less time per step, not
+fewer steps.
 
 The rows, with the inputs each call gets:
 
@@ -38,7 +51,7 @@ The rows, with the inputs each call gets:
 - cold ``import casimirgrav.cli`` with and without bytecode caches; the
   standard library keeps its own caches in both.
 
-A full run takes about 40 s on a shared 2-core VM (Python 3.11). There, one
+A full run takes about 50 s on a shared 2-core VM (Python 3.11). There, one
 tree on both sides read ratios of 0.92-1.08, and two runs a minute apart read
 minima up to 19 % apart, as the whole host sped up or slowed down: compare a
 row's ratio, not its minimum across runs, and read a ratio within about 8 %
@@ -188,9 +201,28 @@ def _evals(result) -> int | None:
     return None
 
 
+def _python_calls(calls) -> int:
+    """The "call" and "c_call" profile events of running each of ``calls``."""
+    events = 0
+
+    def profile(frame, event, arg):
+        nonlocal events
+        if event == "call" or event == "c_call":
+            events += 1
+
+    sys.setprofile(profile)
+    try:
+        for call in calls:
+            call()
+    finally:
+        sys.setprofile(None)
+    return events
+
+
 def child(row: str) -> None:
-    """Time ``row`` in this interpreter and print ``{"us": [...], "evals": n}``:
-    the CPU per call of each measured round, in microseconds."""
+    """Time ``row`` in this interpreter and print ``{"us": [...], "evals": n,
+    "calls": m}``: the CPU per call of each measured round, in microseconds,
+    the evaluations per call and the Python-level calls of one round."""
     import time
     import warnings
 
@@ -200,9 +232,12 @@ def child(row: str) -> None:
     n, make = ROWS[row]
     rng = random.Random(f"layer-timing:{row}")
     us = []
-    evals = None
-    for round_ in range(ROUNDS + 1):
+    evals = python_calls = None
+    for round_ in range(ROUNDS + 2):
         calls = [make(cg, rng) for _ in range(n)]
+        if round_ == 1:  # after the warm-up, before the measured rounds
+            python_calls = _python_calls(calls)
+            continue
         start = time.process_time()
         for call in calls:
             result = call()
@@ -211,7 +246,7 @@ def child(row: str) -> None:
             us.append(cpu / n * 1e6)
         else:
             evals = _evals(result)
-    print(json.dumps({"us": us, "evals": evals}))
+    print(json.dumps({"us": us, "evals": evals, "calls": python_calls}))
 
 
 # an import row's child: nothing of the package or this tool is loaded before the clock starts
@@ -242,33 +277,35 @@ def _run(argv: list[str]) -> str:
                           text=True, timeout=300).stdout
 
 
-def sample(row: str, copies: dict[str, Path]) -> tuple[list[float], int | None]:
-    """One interpreter's timings of ``row`` (microseconds per call) and its
-    evaluations per call."""
+def sample(row: str, copies: dict[str, Path]) -> tuple[list[float], int | None, int | None]:
+    """One interpreter's timings of ``row`` (microseconds per call), its
+    evaluations per call and its calls per round."""
     if row in IMPORT_ROWS:
         package = copies["cached" if row == IMPORT_ROWS[0] else "bare"]
-        return [float(_run(["-c", IMPORT_CHILD, str(package)]))], None
+        return [float(_run(["-c", IMPORT_CHILD, str(package)]))], None, None
     code = ("import sys; sys.path[:0] = sys.argv[1:3]; import layer_timing; "
             "layer_timing.child(sys.argv[3])")
     out = json.loads(_run(["-c", code, str(copies["cached"]), str(TOOLS), row]))
-    return out["us"], out["evals"]
+    return out["us"], out["evals"], out["calls"]
 
 
 def compare(rows, sides: dict[str, dict[str, Path]], passes: int = PASSES) -> list[dict]:
-    """Per row, ``{"row", "evals": {side: n}, "us": {side: [...]}}``.
+    """Per row, ``{"row", "evals": {side: n}, "calls": {side: [...]},
+    "us": {side: [...]}}``, with one entry of ``calls`` per interpreter.
 
     Each pass runs every row in turn, so a slow spell of the host, which
     slows both sides alike, falls on a few samples of each row rather than
     on every sample of one."""
-    results = {row: {"row": row, "evals": {}, "us": {side: [] for side in sides}}
-               for row in rows}
+    results = {row: {"row": row, "evals": {}, "calls": {side: [] for side in sides},
+                     "us": {side: [] for side in sides}} for row in rows}
     order = list(sides)
     for _ in range(passes):
         for row, r in results.items():
             for k in range(IMPORT_INTERPRETERS if row in IMPORT_ROWS else INTERPRETERS):
                 for side in order[k % 2:] + order[:k % 2]:
-                    times, r["evals"][side] = sample(row, sides[side])
+                    times, r["evals"][side], calls = sample(row, sides[side])
                     r["us"][side] += times
+                    r["calls"][side].append(calls)
     return list(results.values())
 
 
@@ -276,16 +313,26 @@ def _time(us: float) -> str:
     return f"{us / 1000:.3f} ms" if us >= 1000 else f"{us:.2f} us"
 
 
+def _count(counts: list[int | None]) -> str:
+    """A side's count: "-" for none, the count, or its range over the interpreters."""
+    if None in counts:
+        return "-"
+    lo, hi = min(counts), max(counts)
+    return str(lo) if lo == hi else f"{lo}-{hi}"
+
+
 def report(results: list[dict]) -> list[str]:
-    """One line per row: min / median per side, evaluations and the ratio of minima."""
+    """One line per row: min / median per side, evaluations, calls and the
+    ratio of minima."""
     lines = []
     for r in results:
         parent, change = r["us"]["parent"], r["us"]["change"]
         evals = " / ".join("-" if r["evals"][s] is None else str(r["evals"][s])
                            for s in ("parent", "change"))
+        calls = " / ".join(_count(r["calls"][s]) for s in ("parent", "change"))
         lines.append(f"{r['row']}: parent {_time(min(parent))} / {_time(statistics.median(parent))}"
                      f", change {_time(min(change))} / {_time(statistics.median(change))}"
-                     f", evals {evals}, ratio {min(change) / min(parent):.3f}")
+                     f", evals {evals}, calls {calls}, ratio {min(change) / min(parent):.3f}")
     return lines
 
 
@@ -299,7 +346,7 @@ def main() -> int:
                  for side in ("parent", "change")}
         results = compare([*ROWS, *IMPORT_ROWS], sides)
     print("row: side min / median CPU per call, evaluations per call parent / change, "
-          "ratio of minima change / parent")
+          "Python-level calls per round parent / change, ratio of minima change / parent")
     print(*report(results), sep="\n")
     return 0
 
